@@ -28,12 +28,7 @@ from .combinatorics import (
     char_exponents_from_semigroup,
     semigroup_from_char_exponents,
 )
-from .enumeration import (
-    EnumerationBounds,
-    SweepRecord,
-    evaluate_class,
-    sweep,
-)
+from .enumeration import EnumerationBounds, SweepRecord, sweep
 from .errors import InternalInvariantViolation, OverflowLimitError, ValidationError
 from .invariants import InvariantReport, decimal_ratio, full_report
 from .resolution import MultiplicitySequence, multiplicity_sequence
@@ -189,8 +184,7 @@ def cmd_invariants(args) -> int:
     c = _class_from_args(args)
     s = semigroup_from_char_exponents(c)
     m = multiplicity_sequence(c)
-    r = full_report(c)
-    rec = evaluate_class(c)  # carries the per-class checks for the csv row
+    r = full_report(c)  # raises unless every identity holds
     if args.format == "json":
         doc = {
             "char_exponents": _class_dict(c),
@@ -200,7 +194,7 @@ def cmd_invariants(args) -> int:
         }
         sys.stdout.write(_json_text(doc))
     elif args.format == "csv":
-        row = _record_row(rec)
+        row = _record_row(SweepRecord(c, s, r))
         row["multiplicity_sequence"] = _sequence_compact(m)
         sys.stdout.write(_csv_text([row], CSV_COLUMNS + ["multiplicity_sequence"]))
     else:

@@ -16,7 +16,7 @@ e_{i-1}, and e_g = 1.  Smooth branches (g = 0) are rejected everywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     DivisibilityViolationError,
@@ -194,19 +194,24 @@ def semigroup_from_char_exponents(c: CharacteristicExponents) -> SemigroupGenera
     return SemigroupGenerators(tuple(gens))
 
 
-def char_exponents_from_semigroup(s: SemigroupGenerators) -> CharacteristicExponents:
-    """Invert semigroup generators back to characteristic exponents.
-
-    Uses the recursion v_{i+1} = n_i v_i - beta_i + beta_{i+1}; the result
-    is re-validated on construction, and the round trip is checked.
-    """
+def _exponents_from_generators(s: SemigroupGenerators) -> CharacteristicExponents:
+    """Solve v_{i+1} = n_i v_i - beta_i + beta_{i+1} for the exponents."""
     mult = s.multipliers
     beta = [s.gens[1]]
     for i in range(1, s.g):
         b = s.gens[i + 1] - mult[i - 1] * s.gens[i] + beta[i - 1]
         check_int64(b)
         beta.append(b)
-    c = CharacteristicExponents(s.gens[0], tuple(beta))
+    return CharacteristicExponents(s.gens[0], tuple(beta))
+
+
+def char_exponents_from_semigroup(s: SemigroupGenerators) -> CharacteristicExponents:
+    """Invert semigroup generators back to characteristic exponents.
+
+    Uses the recursion v_{i+1} = n_i v_i - beta_i + beta_{i+1}; the result
+    is re-validated on construction, and the round trip is checked.
+    """
+    c = _exponents_from_generators(s)
     if semigroup_from_char_exponents(c).gens != s.gens:
         raise InternalInvariantViolation(
             f"round trip through exponents changed {s} into "
@@ -227,6 +232,28 @@ def _membership_sieve(gens: tuple[int, ...], limit: int) -> bytearray:
     return sieve
 
 
+def _conductor_formula(s: SemigroupGenerators) -> int:
+    """Closed form sum_i (n_i - 1) v_i - v_0 + 1 for the conductor."""
+    c = 1 - s.n
+    for n_i, v in zip(s.multipliers, s.gens[1:]):
+        term = (n_i - 1) * v
+        check_int64(term)
+        c += term
+        check_int64(c)
+    return c
+
+
+def _conductor_sieve_disagreement(
+    s: SemigroupGenerators, c: int, sieve: bytearray
+) -> str | None:
+    """Why a membership sieve of length >= c + v_0 rules out c, else None."""
+    if c < 1 or sieve[c - 1]:
+        return f"conductor formula gave {c} for {s} but {c - 1} is not a gap"
+    if not all(sieve[c : c + s.n]):
+        return f"conductor formula gave {c} for {s} but a larger gap exists"
+    return None
+
+
 def conductor(s: SemigroupGenerators) -> int:
     """Smallest c with c + N contained in the semigroup.
 
@@ -234,22 +261,10 @@ def conductor(s: SemigroupGenerators) -> int:
     cross-checked against an explicit membership sieve: c - 1 must be a
     gap and the next v_0 consecutive values must all be members.
     """
-    mult = s.multipliers
-    c = 1 - s.n
-    for n_i, v in zip(mult, s.gens[1:]):
-        term = (n_i - 1) * v
-        check_int64(term)
-        c += term
-        check_int64(c)
-    sieve = _membership_sieve(s.gens, c + s.n)
-    if c < 1 or sieve[c - 1]:
-        raise InternalInvariantViolation(
-            f"conductor formula gave {c} for {s} but {c - 1} is not a gap"
-        )
-    if not all(sieve[c : c + s.n]):
-        raise InternalInvariantViolation(
-            f"conductor formula gave {c} for {s} but a larger gap exists"
-        )
+    c = _conductor_formula(s)
+    problem = _conductor_sieve_disagreement(s, c, _membership_sieve(s.gens, c + s.n))
+    if problem is not None:
+        raise InternalInvariantViolation(problem)
     return c
 
 

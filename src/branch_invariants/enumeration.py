@@ -2,15 +2,15 @@
 
 Classes are generated in lexicographic order of (n, beta_1, ..., beta_g)
 by extending partial exponent tuples while the gcd chain stays above 1.
-A sweep evaluates the full invariant report for every class in range and
-records, per class, a set of named boolean identity checks; a class
-whose computation raises is recorded as failed rather than aborting the
-sweep.
+A sweep evaluates each class in range once and runs every identity of
+invariants.IDENTITIES on it; a class whose computation raises or fails
+an identity is recorded as failed, with the reason, rather than
+aborting the sweep.
 
 Parallel evaluation is opt-in through the environment variable
 BRANCH_INVARIANTS_THREADS (a positive integer capping worker count);
-records are re-sorted into enumeration order before being returned, so
-output is byte-identical with and without workers.
+the pool hands results back in input order, so output is byte-identical
+with and without workers.
 """
 
 from __future__ import annotations
@@ -22,32 +22,23 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
-from .combinatorics import (
-    CharacteristicExponents,
-    SemigroupGenerators,
-    semigroup_from_char_exponents,
-)
+from .combinatorics import CharacteristicExponents, SemigroupGenerators
 from .errors import BranchInvariantError, DomainError
-from .invariants import (
-    InvariantReport,
-    dimca_greuel_margin,
-    full_report,
-    mu_constant_stratum_dim,
-    tjurina_lower_bound,
-)
-from .resolution import multiplicity_sequence
+from .invariants import InvariantReport, _checked_report, _evaluate
 
 THREADS_ENV_VAR = "BRANCH_INVARIANTS_THREADS"
 
-CHECK_NAMES = (
-    "satellite_sum",
-    "enriques_free",
-    "enriques_total",
-    "dimca_greuel",
-    "lower_bound",
-    "peraire",
-)
-ONE_PAIR_CHECK = "zariski_one_pair"
+# each sweep check and the IDENTITIES row it reports
+_CHECK_ROWS = {
+    "satellite_sum": "multiplicity_satellite_sum",
+    "enriques_free": "multiplicity_free_sum",
+    "enriques_total": "multiplicity_total_sum",
+    "dimca_greuel": "dimca_greuel_margin",
+    "lower_bound": "tau_min_lower_bound",
+    "peraire": "gap_count_double_computation",
+}
+CHECK_NAMES = tuple(_CHECK_ROWS)
+ONE_PAIR_CHECK = "zariski_one_pair"  # the row of the same name
 
 
 @dataclass(frozen=True)
@@ -100,8 +91,9 @@ def enumerate_classes(bounds: EnumerationBounds) -> Iterator[CharacteristicExpon
 class SweepRecord:
     """One class of a sweep: its encodings, report, and check outcomes.
 
-    checks maps identity names to booleans; report is None and every
-    check False when evaluation raised (error then holds the message).
+    checks maps check names to booleans, all True when every IDENTITIES
+    row held.  Otherwise report is None, every check False, and error
+    holds the message naming the first failing identity.
     """
 
     char_exponents: CharacteristicExponents
@@ -115,38 +107,16 @@ class SweepRecord:
         return self.error is None and all(self.checks.values())
 
 
-def _one_pair_stratum_dim(n: int, m: int) -> int:
-    """Stratum dimension of a one-pair class from its exponents alone."""
-    return (n - 3) * (m - 3) // 2 + m // n - 1
-
-
 def evaluate_class(c: CharacteristicExponents) -> SweepRecord:
-    """Full report plus named identity checks for one class."""
+    """Report and identity checks for one class, from one evaluation pass."""
+    names = CHECK_NAMES + (ONE_PAIR_CHECK,) if c.g == 1 else CHECK_NAMES
     try:
-        s = semigroup_from_char_exponents(c)
-        m = multiplicity_sequence(c)
-        r = full_report(c)
+        v = _evaluate(c)
+        r = _checked_report(v)
     except BranchInvariantError as exc:
-        checks = {name: False for name in CHECK_NAMES}
-        if c.g == 1:
-            checks[ONE_PAIR_CHECK] = False
+        checks = dict.fromkeys(names, False)
         return SweepRecord(c, None, None, checks, f"{type(exc).__name__}: {exc}")
-    n, beta_g = c.n, c.beta[-1]
-    margin = dimca_greuel_margin(r)
-    bound = tjurina_lower_bound(n)
-    checks = {
-        "satellite_sum": m.sum_satellite() == n - 1,
-        "enriques_free": n + m.sum_free() == beta_g,
-        "enriques_total": m.sum_total() == beta_g + n - 1,
-        "dimca_greuel": 3 * r.mu < 4 * r.tau_min and margin >= 2 * n - 3,
-        "lower_bound": r.tau_min >= bound
-        and (r.tau_min == bound) == (c.beta == (n + 1,)),
-        "peraire": r.delta_gen_gaps >= 0
-        and r.delta_gen_gaps == r.tau_min - r.mu // 2 - n + 1,
-    }
-    if c.g == 1:
-        checks[ONE_PAIR_CHECK] = r.tau_minus == _one_pair_stratum_dim(n, beta_g)
-    return SweepRecord(c, s, r, checks)
+    return SweepRecord(c, v.s, r, dict.fromkeys(names, True))
 
 
 @dataclass(frozen=True)
@@ -175,11 +145,11 @@ def _worker_count(requested: int | None = None) -> int:
 def sweep(
     bounds: EnumerationBounds, workers: int | None = None
 ) -> tuple[list[SweepRecord], SweepSummary]:
-    """Evaluate every class in bounds; deterministic record order.
+    """Evaluate every class in bounds, in enumeration order.
 
     workers defaults to the BRANCH_INVARIANTS_THREADS environment
-    variable (serial when unset).  Results are sorted back into
-    enumeration order, so worker count never changes the output.
+    variable (serial when unset).  The pool returns results in input
+    order, so worker count never changes the output.
     """
     classes = list(enumerate_classes(bounds))
     count = _worker_count(workers)
@@ -188,7 +158,6 @@ def sweep(
             records = list(pool.map(evaluate_class, classes, chunksize=64))
     else:
         records = [evaluate_class(c) for c in classes]
-    records.sort(key=lambda rec: (rec.char_exponents.n, rec.char_exponents.beta))
     max_q = Fraction(0)
     failed = 0
     for rec in records:

@@ -20,6 +20,12 @@ satellite points):
 with sigma(k) = (k-2)(k-4)/4 for even k and (k-3)^2/4 for odd k.
 Multiplicity-1 free points contribute zero to every sum, so invariants
 are stable under extending a resolution past the minimal one.
+
+The public functions above check themselves for library callers.  A
+whole class goes through one private pass instead, which computes every
+quantity once from the raw pieces, and through IDENTITIES, the one
+ordered table of named per-class identities that full_report, the sweep
+and the check suite all run.
 """
 
 from __future__ import annotations
@@ -27,14 +33,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
+from types import SimpleNamespace
+from typing import Callable
 
 from .combinatorics import (
     CharacteristicExponents,
-    conductor,
-    gap_count,
+    _conductor_formula,
+    _conductor_sieve_disagreement,
+    _exponents_from_generators,
+    _membership_sieve,
     semigroup_from_char_exponents,
 )
 from .errors import (
+    BranchInvariantError,
     DomainError,
     InternalInvariantViolation,
     NegativeGapCountError,
@@ -44,7 +55,7 @@ from .resolution import (
     InfinitelyNearPoint,
     MultiplicitySequence,
     PointKind,
-    multiplicity_sequence,
+    _build_sequence,
 )
 
 
@@ -238,58 +249,139 @@ def report_gap_count(r: InvariantReport) -> int:
 
 
 def dimca_greuel_margin(r: InvariantReport) -> int:
-    """4 tau_min - 3 mu, the slack in the quotient bound mu/tau_min < 4/3."""
+    """4 tau_min - 3 mu, the slack in the quotient bound mu/tau_min < 4/3.
+
+    Any record with mu and tau_min fields will do, not only a report.
+    """
     check_int64(4 * r.tau_min, 3 * r.mu)
     return 4 * r.tau_min - 3 * r.mu
 
 
-def full_report(c: CharacteristicExponents) -> InvariantReport:
-    """Compute every invariant of the class and cross-check the lot.
+def _evaluate(c: CharacteristicExponents) -> SimpleNamespace:
+    """Every quantity of c that IDENTITIES compares, each computed once.
 
-    Raises InternalInvariantViolation if any of the redundant
-    computations disagree: Milnor number vs conductor vs twice the
-    semigroup gap count, both Tjurina routes, both gap-count routes,
-    the quotient margin, and the sharp lower bound.
+    Works from the raw pieces, not the self-checking wrappers.  An error
+    raised on the way gets an `identity` attribute: the identity charged
+    with it, which is the one of the step that was running.
     """
-    s = semigroup_from_char_exponents(c)
-    m = multiplicity_sequence(c)
-    mu = milnor_number(m)
-    cond = conductor(s)
-    if mu != cond or mu != 2 * gap_count(s):
-        raise InternalInvariantViolation(
-            f"{c}: Milnor number {mu} vs conductor {cond} vs semigroup gaps"
+    v = SimpleNamespace(c=c)
+    step = "semigroup_round_trip"
+    try:
+        v.s = semigroup_from_char_exponents(c)
+        v.back = _exponents_from_generators(v.s)
+        step = "multiplicity_total_sum"
+        v.seq = _build_sequence(c)  # its sum identities are table rows
+        step = "conductor_sieve_agreement"
+        v.conductor = _conductor_formula(v.s)
+        v.sieve = _membership_sieve(v.s.gens, v.conductor + c.n)
+        v.gaps = v.conductor - v.sieve.count(1, 0, v.conductor)
+        step = "tau_min_double_computation"
+        v.mu = milnor_number(v.seq)
+        v.tau_minus = mu_constant_stratum_dim(v.seq)
+        v.q_min = generic_component_dim(v.seq)
+        v.tau_min = _minimal_tjurina_formula(v.seq)
+        v.delta_gaps = _differential_gap_formula(v.seq)
+        v.bound = tjurina_lower_bound(c.n)
+        v.free_slack = sum(
+            p.multiplicity - 1 for p in v.seq.points if p.kind is PointKind.FREE
         )
-    tau_minus = mu_constant_stratum_dim(m)
-    q_min = generic_component_dim(m)
-    tau_min = minimal_tjurina(m)
-    gaps = differential_gap_count(m)
-    bound = tjurina_lower_bound(c.n)
-    if tau_min < bound:
-        raise InternalInvariantViolation(
-            f"{c}: tau_min {tau_min} below the lower bound {bound}"
-        )
-    if (tau_min == bound) != (c.beta == (c.n + 1,)):
-        raise InternalInvariantViolation(
-            f"{c}: lower bound attained on the wrong class"
-        )
-    common = math.gcd(mu, tau_min)
-    r = InvariantReport(
-        n=c.n,
-        mu=mu,
-        tau_minus=tau_minus,
-        q_min=q_min,
-        tau_min=tau_min,
-        quotient_num=mu // common,
-        quotient_den=tau_min // common,
-        tau_lower_bound=bound,
-        delta_gen_gaps=gaps,
+    except BranchInvariantError as exc:
+        exc.identity = step
+        raise
+    return v
+
+
+def _lower_bound(v: SimpleNamespace) -> str | None:
+    """tau_min >= bound, with equality exactly on the class (n; n + 1)."""
+    sharp = v.c.beta == (v.c.n + 1,)
+    if v.tau_min < v.bound or (v.tau_min == v.bound) != sharp:
+        return f"tau_min {v.tau_min} vs bound {v.bound}"
+    return None
+
+
+def _dimca_greuel(v: SimpleNamespace) -> str | None:
+    margin = dimca_greuel_margin(v)
+    if margin <= 0 or margin < 2 * v.c.n - 3 + v.free_slack:
+        return f"margin {margin}"
+    return None
+
+
+def _zariski_one_pair(v: SimpleNamespace) -> str | None:
+    """Zariski's stratum dimension (n-3)(m-3)/2 + [m/n] - 1 of (n; m)."""
+    if v.c.g != 1:
+        return None
+    n, m = v.c.n, v.c.beta[0]
+    zariski = (n - 3) * (m - 3) // 2 + m // n - 1
+    return None if v.tau_minus == zariski else f"{v.tau_minus} vs {zariski}"
+
+
+# (name, check) in reporting order: check returns None when the identity
+# holds on the class, else a one-line detail
+IDENTITIES: tuple[tuple[str, Callable[[SimpleNamespace], str | None]], ...] = (
+    ("semigroup_round_trip",
+     lambda v: None if v.back == v.c else f"came back different through {v.s}"),
+    ("gcd_chain_consistency",
+     lambda v: None if v.s.gcd_chain == v.c.gcd_chain
+     else f"{v.s.gcd_chain} vs {v.c.gcd_chain}"),
+    ("conductor_sieve_agreement",
+     lambda v: _conductor_sieve_disagreement(v.s, v.conductor, v.sieve)),
+    ("semigroup_symmetry",
+     lambda v: None if 2 * v.gaps == v.conductor else "gap count is not conductor/2"),
+    ("multiplicity_total_sum",
+     lambda v: None if v.seq.sum_total() == v.c.beta[-1] + v.c.n - 1
+     else f"sum {v.seq.sum_total()}"),
+    ("multiplicity_free_sum",
+     lambda v: None if v.c.n + v.seq.sum_free() == v.c.beta[-1]
+     else f"free sum {v.seq.sum_free()}"),
+    ("multiplicity_satellite_sum",
+     lambda v: None if v.seq.sum_satellite() == v.c.n - 1
+     else f"satellite sum {v.seq.sum_satellite()}"),
+    ("milnor_vs_conductor",
+     lambda v: None if v.mu == v.conductor
+     else f"mu {v.mu} vs conductor {v.conductor}"),
+    ("tau_min_double_computation",
+     lambda v: None if v.tau_min == v.q_min + v.mu - v.tau_minus
+     else f"closed {v.tau_min} vs recombined {v.q_min + v.mu - v.tau_minus}"),
+    ("tau_min_lower_bound", _lower_bound),
+    ("dimca_greuel_margin", _dimca_greuel),
+    ("gap_count_double_computation",
+     lambda v: None if 0 <= v.delta_gaps == v.tau_min - v.mu // 2 - v.c.n + 1
+     else f"closed {v.delta_gaps}"),
+    ("zariski_one_pair", _zariski_one_pair),
+)
+
+
+def _failures(v: SimpleNamespace) -> list[tuple[str, str]]:
+    """(name, detail) of every identity that fails on v, in table order."""
+    return [(name, d) for name, check in IDENTITIES if (d := check(v)) is not None]
+
+
+def _checked_report(v: SimpleNamespace) -> InvariantReport:
+    """The report of v; raises naming the first identity that fails on it."""
+    failures = _failures(v)
+    if failures:
+        name, detail = failures[0]
+        raise InternalInvariantViolation(f"{v.c}: {name} failed: {detail}")
+    common = math.gcd(v.mu, v.tau_min)
+    return InvariantReport(
+        n=v.c.n,
+        mu=v.mu,
+        tau_minus=v.tau_minus,
+        q_min=v.q_min,
+        tau_min=v.tau_min,
+        quotient_num=v.mu // common,
+        quotient_den=v.tau_min // common,
+        tau_lower_bound=v.bound,
+        delta_gen_gaps=v.delta_gaps,
     )
-    margin = dimca_greuel_margin(r)
-    free_slack = sum(p.multiplicity - 1 for p in m.points if p.kind is PointKind.FREE)
-    if margin < 2 * c.n - 3 + free_slack or margin <= 0:
-        raise InternalInvariantViolation(
-            f"{c}: quotient margin {margin} below 2n - 3 + free slack"
-        )
-    if report_gap_count(r) != gaps:
-        raise InternalInvariantViolation(f"{c}: report gap count mismatch")
-    return r
+
+
+def full_report(c: CharacteristicExponents) -> InvariantReport:
+    """Compute every invariant of the class and check every identity.
+
+    Raises InternalInvariantViolation naming the first IDENTITIES row
+    that fails on c: Milnor number vs conductor vs twice the semigroup
+    gap count, both Tjurina routes, both gap-count routes, the quotient
+    margin, the sharp lower bound, and the rest of the table.
+    """
+    return _checked_report(_evaluate(c))

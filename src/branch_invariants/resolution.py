@@ -117,12 +117,8 @@ def _mark_stage(
     return points
 
 
-def multiplicity_sequence(c: CharacteristicExponents) -> MultiplicitySequence:
-    """Multiplicity sequence of the minimal embedded resolution of c.
-
-    Points carry their kind (origin / free / satellite) and the stage
-    that produced them; the trailing multiplicity-1 points are included.
-    """
+def _build_sequence(c: CharacteristicExponents) -> MultiplicitySequence:
+    """The stages of c marked and joined, before the sum identities are checked."""
     chain = c.gcd_chain
     points: list[InfinitelyNearPoint] = []
     for i in range(1, c.g + 1):
@@ -140,7 +136,16 @@ def multiplicity_sequence(c: CharacteristicExponents) -> MultiplicitySequence:
                     f"stage {i} multiplicities increase at position {j}"
                 )
         points.extend(_mark_stage(mults, i, free_target, skip_origin=(i == 1)))
-    seq = MultiplicitySequence(tuple(points))
+    return MultiplicitySequence(tuple(points))
+
+
+def multiplicity_sequence(c: CharacteristicExponents) -> MultiplicitySequence:
+    """Multiplicity sequence of the minimal embedded resolution of c.
+
+    Points carry their kind (origin / free / satellite) and the stage
+    that produced them; the trailing multiplicity-1 points are included.
+    """
+    seq = _build_sequence(c)
     if seq.sum_total() != c.beta[-1] + c.n - 1:
         raise InternalInvariantViolation(
             f"{c}: total multiplicity {seq.sum_total()} != beta_g + n - 1"

@@ -1,35 +1,34 @@
 """Named identity suite over an enumeration box.
 
-Each identity is evaluated from the rawest available pieces rather than
-through the self-checking wrappers, so a broken formula is attributed to
-a named identity instead of surfacing as a stray exception.  The suite
-reports one result per identity; a result carries the first class on
-which the identity failed.
+Each class goes through the same single evaluation pass and the same
+IDENTITIES table as full_report and the sweep, so a broken formula is
+attributed to a named identity instead of surfacing as a stray
+exception; an error raised inside the pass is charged to the identity
+of the step that raised it.  Two checks exist only here: invariance
+under appended smooth points, and a pointwise scan of the moduli
+dimension term.  The suite reports one result per identity; a result
+carries the first class on which the identity failed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .combinatorics import (
-    CharacteristicExponents,
-    char_exponents_from_semigroup,
-    conductor,
-    gap_count,
-    semigroup_from_char_exponents,
-)
+from .combinatorics import CharacteristicExponents
 from .errors import BranchInvariantError
 from .enumeration import EnumerationBounds, enumerate_classes
 from .invariants import (
+    IDENTITIES,
     _differential_gap_formula,
+    _evaluate,
+    _failures,
     _minimal_tjurina_formula,
     generic_component_dim,
     milnor_number,
     moduli_dim_term,
     mu_constant_stratum_dim,
-    tjurina_lower_bound,
 )
-from .resolution import PointKind, append_smooth_points, multiplicity_sequence
+from .resolution import append_smooth_points
 
 SIGMA_BOUND_LIMIT = 10**6
 
@@ -53,22 +52,6 @@ def _sigma_pointwise() -> CheckResult:
 
 def run_identity_suite(bounds: EnumerationBounds) -> list[CheckResult]:
     """Evaluate every named identity over all classes in bounds."""
-    per_class = [
-        "semigroup_round_trip",
-        "gcd_chain_consistency",
-        "conductor_sieve_agreement",
-        "semigroup_symmetry",
-        "multiplicity_total_sum",
-        "multiplicity_free_sum",
-        "multiplicity_satellite_sum",
-        "milnor_vs_conductor",
-        "tau_min_double_computation",
-        "tau_min_lower_bound",
-        "dimca_greuel_margin",
-        "gap_count_double_computation",
-        "zariski_one_pair",
-        "resolution_invariance",
-    ]
     failures: dict[str, str] = {}
 
     def fail(name: str, c: CharacteristicExponents, detail: str) -> None:
@@ -76,91 +59,28 @@ def run_identity_suite(bounds: EnumerationBounds) -> list[CheckResult]:
 
     for c in enumerate_classes(bounds):
         try:
-            _check_one_class(c, fail)
+            v = _evaluate(c)
         except BranchInvariantError as exc:
-            fail("semigroup_round_trip", c, f"uncaught {type(exc).__name__}: {exc}")
+            fail(exc.identity, c, str(exc))
+            continue
+        for name, detail in _failures(v):
+            fail(name, c, detail)
+        for k in (1, 2, 5):
+            ext = append_smooth_points(v.seq, k)
+            same = (
+                milnor_number(ext) == v.mu
+                and mu_constant_stratum_dim(ext) == v.tau_minus
+                and generic_component_dim(ext) == v.q_min
+                and _minimal_tjurina_formula(ext) == v.tau_min
+                and _differential_gap_formula(ext) == v.delta_gaps
+            )
+            if not same:
+                fail("resolution_invariance", c, f"changed after appending {k} points")
+                break
+    names = [name for name, _ in IDENTITIES] + ["resolution_invariance"]
     results = [
         CheckResult(name, name not in failures, failures.get(name, ""))
-        for name in per_class
+        for name in names
     ]
     results.append(_sigma_pointwise())
     return results
-
-
-def _check_one_class(c: CharacteristicExponents, fail) -> None:
-    try:
-        s = semigroup_from_char_exponents(c)
-        if char_exponents_from_semigroup(s) != c:
-            fail("semigroup_round_trip", c, f"came back different through {s}")
-            return
-    except BranchInvariantError as exc:
-        fail("semigroup_round_trip", c, str(exc))
-        return
-    if s.gcd_chain != c.gcd_chain:
-        fail("gcd_chain_consistency", c, f"{s.gcd_chain} vs {c.gcd_chain}")
-    cond = None
-    try:
-        cond = conductor(s)  # raises when the closed form and sieve disagree
-    except BranchInvariantError as exc:
-        fail("conductor_sieve_agreement", c, str(exc))
-    if cond is not None:
-        try:
-            if 2 * gap_count(s) != cond:
-                fail("semigroup_symmetry", c, "gap count is not conductor/2")
-        except BranchInvariantError as exc:
-            fail("semigroup_symmetry", c, str(exc))
-    try:
-        m = multiplicity_sequence(c)
-    except BranchInvariantError as exc:
-        fail("multiplicity_total_sum", c, str(exc))
-        return
-    n, beta_g = c.n, c.beta[-1]
-    if m.sum_total() != beta_g + n - 1:
-        fail("multiplicity_total_sum", c, f"sum {m.sum_total()}")
-    if n + m.sum_free() != beta_g:
-        fail("multiplicity_free_sum", c, f"free sum {m.sum_free()}")
-    if m.sum_satellite() != n - 1:
-        fail("multiplicity_satellite_sum", c, f"satellite sum {m.sum_satellite()}")
-    mu = milnor_number(m)
-    if cond is not None and mu != cond:
-        fail("milnor_vs_conductor", c, f"mu {mu} vs conductor {cond}")
-    tau_minus = mu_constant_stratum_dim(m)
-    q_min = generic_component_dim(m)
-    try:
-        tau_closed = _minimal_tjurina_formula(m)
-    except BranchInvariantError as exc:
-        fail("tau_min_double_computation", c, str(exc))
-        return
-    if tau_closed != q_min + mu - tau_minus:
-        fail(
-            "tau_min_double_computation",
-            c,
-            f"closed {tau_closed} vs recombined {q_min + mu - tau_minus}",
-        )
-    bound = tjurina_lower_bound(n)
-    sharp = c.beta == (n + 1,)
-    if tau_closed < bound or (tau_closed == bound) != sharp:
-        fail("tau_min_lower_bound", c, f"tau_min {tau_closed} vs bound {bound}")
-    margin = 4 * tau_closed - 3 * mu
-    free_slack = sum(p.multiplicity - 1 for p in m.points if p.kind is PointKind.FREE)
-    if margin <= 0 or margin < 2 * n - 3 + free_slack:
-        fail("dimca_greuel_margin", c, f"margin {margin}")
-    gaps_closed = _differential_gap_formula(m)
-    if gaps_closed != tau_closed - mu // 2 - n + 1 or gaps_closed < 0:
-        fail("gap_count_double_computation", c, f"closed {gaps_closed}")
-    if c.g == 1:
-        zariski = (n - 3) * (beta_g - 3) // 2 + beta_g // n - 1
-        if tau_minus != zariski:
-            fail("zariski_one_pair", c, f"{tau_minus} vs {zariski}")
-    for k in (1, 2, 5):
-        ext = append_smooth_points(m, k)
-        same = (
-            milnor_number(ext) == mu
-            and mu_constant_stratum_dim(ext) == tau_minus
-            and generic_component_dim(ext) == q_min
-            and _minimal_tjurina_formula(ext) == tau_closed
-            and _differential_gap_formula(ext) == gaps_closed
-        )
-        if not same:
-            fail("resolution_invariance", c, f"changed after appending {k} points")
-            break

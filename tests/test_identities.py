@@ -1,0 +1,117 @@
+"""The identity table: one order, one rule, shared by every caller."""
+
+from __future__ import annotations
+
+from types import SimpleNamespace
+
+import pytest
+
+import branch_invariants.invariants as inv
+import branch_invariants.selfcheck as sc
+from branch_invariants import (
+    CharacteristicExponents,
+    EnumerationBounds,
+    InternalInvariantViolation,
+    evaluate_class,
+    full_report,
+    run_identity_suite,
+)
+from branch_invariants.cli import main
+from branch_invariants.enumeration import CHECK_NAMES, ONE_PAIR_CHECK, _CHECK_ROWS
+from branch_invariants.invariants import IDENTITIES
+
+ROW_NAMES = [name for name, _ in IDENTITIES]
+
+
+def test_table_order_is_pinned():
+    assert ROW_NAMES == [
+        "semigroup_round_trip",
+        "gcd_chain_consistency",
+        "conductor_sieve_agreement",
+        "semigroup_symmetry",
+        "multiplicity_total_sum",
+        "multiplicity_free_sum",
+        "multiplicity_satellite_sum",
+        "milnor_vs_conductor",
+        "tau_min_double_computation",
+        "tau_min_lower_bound",
+        "dimca_greuel_margin",
+        "gap_count_double_computation",
+        "zariski_one_pair",
+    ]
+
+
+def test_every_sweep_check_maps_to_a_row():
+    assert tuple(_CHECK_ROWS) == CHECK_NAMES
+    for check in CHECK_NAMES:
+        assert _CHECK_ROWS[check] in ROW_NAMES, check
+    assert ONE_PAIR_CHECK in ROW_NAMES
+
+
+def test_check_prints_table_order(capsys):
+    assert main(["check", "--max-mult", "4", "--max-beta", "12"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert all(line.startswith("ok   ") for line in lines)
+    printed = [line[len("ok   "):] for line in lines]
+    assert printed == ROW_NAMES + ["resolution_invariance", "sigma_pointwise_bound"]
+
+
+class TestBrokenLowerBound:
+    """A bound one too high must be caught by the same row everywhere."""
+
+    @pytest.fixture(autouse=True)
+    def broken_bound(self, monkeypatch):
+        orig = inv.tjurina_lower_bound
+        monkeypatch.setattr(inv, "tjurina_lower_bound", lambda n: orig(n) + 1)
+
+    def test_full_report_names_the_identity(self):
+        with pytest.raises(InternalInvariantViolation, match="tau_min_lower_bound"):
+            full_report(CharacteristicExponents(2, (3,)))
+
+    def test_evaluate_class_records_the_identity(self):
+        rec = evaluate_class(CharacteristicExponents(2, (3,)))
+        assert rec.report is None and rec.semigroup is None
+        assert "tau_min_lower_bound" in rec.error
+        assert set(rec.checks) == set(CHECK_NAMES) | {ONE_PAIR_CHECK}
+        assert not any(rec.checks.values())
+        assert not rec.passed
+
+    def test_check_reports_the_identity(self, capsys):
+        code = main(["check", "--max-mult", "4", "--max-beta", "12"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "FAIL tau_min_lower_bound" in out
+        assert out.endswith("first failing identity: tau_min_lower_bound\n")
+
+
+def test_dimca_greuel_rule_counts_free_slack():
+    check = dict(IDENTITIES)["dimca_greuel_margin"]
+    c = CharacteristicExponents(5, (7,))  # 2n - 3 = 7
+    # mu = 24, tau_min = 20: margin 4 tau_min - 3 mu = 8
+    values = SimpleNamespace(c=c, mu=24, tau_min=20, free_slack=1)
+    assert check(values) is None
+    values.free_slack = 2  # 8 >= 2n - 3 alone, but not with the slack
+    assert check(values) == "margin 8"
+    values.mu, values.tau_min, values.free_slack = 24, 18, -100
+    assert check(values) == "margin 0"  # never passes unless positive
+
+
+@pytest.mark.parametrize(
+    "module, attr, identity",
+    [
+        (inv, "semigroup_from_char_exponents", "semigroup_round_trip"),
+        (inv, "_build_sequence", "multiplicity_total_sum"),
+        (inv, "_conductor_formula", "conductor_sieve_agreement"),
+        (inv, "_minimal_tjurina_formula", "tau_min_double_computation"),
+    ],
+)
+def test_error_in_the_pass_is_charged_to_its_step(monkeypatch, module, attr, identity):
+    def broken(*args):
+        raise InternalInvariantViolation(f"{attr} broke")
+
+    monkeypatch.setattr(module, attr, broken)
+    monkeypatch.setattr(sc, "SIGMA_BOUND_LIMIT", 10)  # not under test here
+    results = run_identity_suite(EnumerationBounds(3, 10))
+    assert [r.name for r in results if not r.passed] == [identity]
+    failed = next(r for r in results if not r.passed)
+    assert failed.detail == f"first failure at (2; 3): {attr} broke"
