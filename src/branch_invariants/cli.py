@@ -5,13 +5,16 @@ Subcommands:
     sweep        evaluate every class in a box and check the identities
     check        run the named identity suite over a box
 
-Exit codes: 0 success, 1 a check or identity failed, 2 invalid input,
+Exit codes: 0 success, 1 a check or identity failed, 2 invalid input
+(including a class whose membership sieve would exceed SIEVE_LIMIT),
 3 internal invariant violation (a bug, not bad input).
 
 Formats: table (human), json (stable keys, exact integers, quotient as
 num/den plus fixed 6-place decimal string), csv (fixed column order,
 lists joined by ';', no quoting needed).  All output is UTF-8 and ends
-with a newline.
+with a newline.  The multiplicity sequence is rendered one run at a time,
+each run's text repeated once per point, so it reads as if written point
+by point.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .combinatorics import (
 from .enumeration import EnumerationBounds, SweepRecord, sweep
 from .errors import InternalInvariantViolation, OverflowLimitError, ValidationError
 from .invariants import InvariantReport, decimal_ratio, full_report
-from .resolution import MultiplicitySequence, multiplicity_sequence
+from .resolution import MultiplicitySequence, Run, multiplicity_sequence
 from .selfcheck import run_identity_suite
 
 CSV_COLUMNS = [
@@ -101,15 +104,27 @@ def _class_dict(c: CharacteristicExponents) -> dict:
     return {"n": c.n, "beta": list(c.beta)}
 
 
-def _sequence_dicts(m: MultiplicitySequence) -> list[dict]:
-    return [
-        {"multiplicity": p.multiplicity, "kind": p.kind.value, "stage": p.stage}
-        for p in m.points
-    ]
+def _repeated(m: MultiplicitySequence, render, sep: str) -> str:
+    """Every point as render(its run), sep between points.
+
+    Each run is rendered once and its text repeated, so the cost per
+    point is a string copy, not a Python call.
+    """
+    return sep.join(sep.join([render(run)] * run.count) for run in m.runs)
+
+
+def _json_point(run: Run) -> str:
+    """One point as json.dumps(indent=2) lays it out inside a top-level list."""
+    point = {"multiplicity": run.multiplicity, "kind": run.kind.value, "stage": run.stage}
+    return json.dumps(point, indent=2).replace("\n", "\n    ")
+
+
+def _table_point(run: Run) -> str:
+    return f"  stage {run.stage}  {run.multiplicity:>3}  {run.kind.value}"
 
 
 def _sequence_compact(m: MultiplicitySequence) -> str:
-    return ";".join(f"{p.multiplicity}{p.kind.value[0]}" for p in m.points)
+    return _repeated(m, lambda run: f"{run.multiplicity}{run.kind.value[0]}", ";")
 
 
 def _record_row(rec: SweepRecord) -> dict[str, str]:
@@ -166,8 +181,7 @@ def _invariants_table(
         f"semigroup        {s}",
         "multiplicity sequence:",
     ]
-    for p in m.points:
-        lines.append(f"  stage {p.stage}  {p.multiplicity:>3}  {p.kind.value}")
+    lines.append(_repeated(m, _table_point, "\n"))
     lines += [
         f"mu               {r.mu}",
         f"tau_minus        {r.tau_minus}",
@@ -189,10 +203,14 @@ def cmd_invariants(args) -> int:
         doc = {
             "char_exponents": _class_dict(c),
             "semigroup": list(s.gens),
-            "multiplicity_sequence": _sequence_dicts(m),
+            "multiplicity_sequence": [],  # spliced in below, run by run
             "report": _report_dict(r),
         }
-        sys.stdout.write(_json_text(doc))
+        points = "[\n    " + _repeated(m, _json_point, ",\n    ") + "\n  ]"
+        text = _json_text(doc).replace(
+            '"multiplicity_sequence": []', f'"multiplicity_sequence": {points}', 1
+        )
+        sys.stdout.write(text)
     elif args.format == "csv":
         row = _record_row(SweepRecord(c, s, r))
         row["multiplicity_sequence"] = _sequence_compact(m)

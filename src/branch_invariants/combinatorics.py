@@ -5,7 +5,8 @@ either by its characteristic exponents (n; b_1, ..., b_g) or by the
 minimal generators (v_0, ..., v_g) of its semigroup of values.  The two
 encodings carry the same information; this module validates both,
 converts in both directions, and computes the conductor and the gap
-count of the semigroup.
+count of the semigroup.  Both are cross-checked against a membership
+sieve held as one integer bitset, refused above SIEVE_LIMIT cells.
 
 Conventions.  n >= 2 is the multiplicity, g >= 1 the number of
 characteristic pairs.  The gcd chain is e_0 = n, e_i = gcd(e_{i-1}, b_i);
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 
 from .errors import (
     DivisibilityViolationError,
+    DomainError,
     GcdNotOneError,
     InternalInvariantViolation,
     NonIncreasingError,
@@ -27,6 +29,12 @@ from .errors import (
     NotSingularError,
     check_int64,
 )
+
+# The membership sieve (c + n cells) and the expanded point list (never
+# more than c + n points) grow with the input, so both are refused above
+# this size: 512 KiB of bitset, bounded time, and still room for classes
+# like (97; 20000) with conductor 1.9 * 10**6.
+SIEVE_LIMIT = 2**22
 
 
 @dataclass(frozen=True)
@@ -220,16 +228,34 @@ def char_exponents_from_semigroup(s: SemigroupGenerators) -> CharacteristicExpon
     return c
 
 
-def _membership_sieve(gens: tuple[int, ...], limit: int) -> bytearray:
-    """sieve[v] = 1 iff v < limit is a sum of generators."""
-    sieve = bytearray(limit)
-    if limit > 0:
-        sieve[0] = 1
+def _membership_sieve(gens: tuple[int, ...], limit: int) -> int:
+    """Bitset of the semigroup below limit: bit v is set iff v is a sum of gens.
+
+    Each generator is closed over by shift-doubling, so the cost is
+    O(g log(limit / v_0)) big-int operations rather than O(g * limit)
+    steps.  A limit above SIEVE_LIMIT raises DomainError before any
+    allocation.
+    """
+    if limit > SIEVE_LIMIT:
+        raise DomainError(
+            f"membership sieve of {limit} cells exceeds the limit of "
+            f"{SIEVE_LIMIT} (SIEVE_LIMIT)"
+        )
+    if limit <= 0:
+        return 0
+    mask = (1 << limit) - 1
+    sieve = 1
     for gen in gens:
-        for v in range(gen, limit):
-            if sieve[v - gen]:
-                sieve[v] = 1
+        shift = gen
+        while shift < limit:
+            sieve |= (sieve << shift) & mask
+            shift <<= 1
     return sieve
+
+
+def _members_below(sieve: int, k: int) -> int:
+    """How many of 0, ..., k - 1 the sieve marks as members."""
+    return (sieve & ((1 << max(k, 0)) - 1)).bit_count()
 
 
 def _conductor_formula(s: SemigroupGenerators) -> int:
@@ -244,14 +270,25 @@ def _conductor_formula(s: SemigroupGenerators) -> int:
 
 
 def _conductor_sieve_disagreement(
-    s: SemigroupGenerators, c: int, sieve: bytearray
+    s: SemigroupGenerators, c: int, sieve: int
 ) -> str | None:
     """Why a membership sieve of length >= c + v_0 rules out c, else None."""
-    if c < 1 or sieve[c - 1]:
+    if c < 1 or (sieve >> (c - 1)) & 1:
         return f"conductor formula gave {c} for {s} but {c - 1} is not a gap"
-    if not all(sieve[c : c + s.n]):
+    window = (1 << s.n) - 1
+    if (sieve >> c) & window != window:
         return f"conductor formula gave {c} for {s} but a larger gap exists"
     return None
+
+
+def _checked_conductor(s: SemigroupGenerators) -> tuple[int, int]:
+    """The closed-form conductor c and a sieve of length c + v_0 confirming it."""
+    c = _conductor_formula(s)
+    sieve = _membership_sieve(s.gens, c + s.n)
+    problem = _conductor_sieve_disagreement(s, c, sieve)
+    if problem is not None:
+        raise InternalInvariantViolation(problem)
+    return c, sieve
 
 
 def conductor(s: SemigroupGenerators) -> int:
@@ -261,22 +298,17 @@ def conductor(s: SemigroupGenerators) -> int:
     cross-checked against an explicit membership sieve: c - 1 must be a
     gap and the next v_0 consecutive values must all be members.
     """
-    c = _conductor_formula(s)
-    problem = _conductor_sieve_disagreement(s, c, _membership_sieve(s.gens, c + s.n))
-    if problem is not None:
-        raise InternalInvariantViolation(problem)
-    return c
+    return _checked_conductor(s)[0]
 
 
 def gap_count(s: SemigroupGenerators) -> int:
     """Number of naturals missing from the semigroup.
 
-    Counted from the membership sieve and checked against conductor/2,
-    which the symmetry of plane-branch semigroups forces.
+    Counted from the conductor's membership sieve and checked against
+    conductor/2, which the symmetry of plane-branch semigroups forces.
     """
-    c = conductor(s)
-    sieve = _membership_sieve(s.gens, c)
-    count = c - sum(sieve)
+    c, sieve = _checked_conductor(s)
+    count = c - _members_below(sieve, c)
     if c % 2 != 0 or count != c // 2:
         raise InternalInvariantViolation(
             f"{s} has {count} gaps but conductor {c}; symmetry requires c = 2 * gaps"

@@ -21,6 +21,12 @@ with sigma(k) = (k-2)(k-4)/4 for even k and (k-3)^2/4 for odd k.
 Multiplicity-1 free points contribute zero to every sum, so invariants
 are stable under extending a resolution past the minimal one.
 
+Every sum runs over the runs of the sequence (see resolution), one
+count * term per run of equal points, so its cost does not grow with
+the number of points.  Each product and each running total is checked
+against the 64-bit range; every term is non-negative, so this raises
+exactly when the point-by-point sum would.
+
 The public functions above check themselves for library callers.  A
 whole class goes through one private pass instead, which computes every
 quantity once from the raw pieces, and through IDENTITIES, the one
@@ -41,6 +47,7 @@ from .combinatorics import (
     _conductor_formula,
     _conductor_sieve_disagreement,
     _exponents_from_generators,
+    _members_below,
     _membership_sieve,
     semigroup_from_char_exponents,
 )
@@ -54,8 +61,10 @@ from .errors import (
 from .resolution import (
     InfinitelyNearPoint,
     MultiplicitySequence,
-    PointKind,
+    Run,
     _build_sequence,
+    _FREE,
+    _ORIGIN,
 )
 
 
@@ -88,11 +97,11 @@ def moduli_dim_term(k: int) -> int:
     return _exact_div((k - 3) * (k - 3), 4, "odd moduli term")
 
 
-def adjusted_multiplicity(p: InfinitelyNearPoint) -> int:
+def adjusted_multiplicity(p: InfinitelyNearPoint | Run) -> int:
     """e_p at the origin, e_p + 1 at free points, e_p + 2 at satellites."""
-    if p.kind is PointKind.ORIGIN:
+    if p.kind is _ORIGIN:
         return p.multiplicity
-    if p.kind is PointKind.FREE:
+    if p.kind is _FREE:
         return p.multiplicity + 1
     return p.multiplicity + 2
 
@@ -100,11 +109,10 @@ def adjusted_multiplicity(p: InfinitelyNearPoint) -> int:
 def milnor_number(m: MultiplicitySequence) -> int:
     """Milnor number as sum of e_p(e_p - 1) over the resolution points."""
     mu = 0
-    for p in m.points:
-        term = p.multiplicity * (p.multiplicity - 1)
-        check_int64(term)
+    for e, count, _, _ in m.runs:
+        term = count * e * (e - 1)
         mu += term
-        check_int64(mu)
+        check_int64(term, mu)
     if mu % 2 != 0:
         raise InternalInvariantViolation(f"Milnor number {mu} is odd")
     return mu
@@ -116,19 +124,21 @@ def mu_constant_stratum_dim(m: MultiplicitySequence) -> int:
     Sum of (e' - 2)(e' - 3)/2 over points, e' the adjusted multiplicity.
     """
     total = 0
-    for p in m.points:
-        k = adjusted_multiplicity(p)
-        total += _exact_div((k - 2) * (k - 3), 2, "stratum dimension term")
-        check_int64(total)
+    for run in m.runs:
+        k = adjusted_multiplicity(run)
+        term = run.count * _exact_div((k - 2) * (k - 3), 2, "stratum dimension term")
+        total += term
+        check_int64(term, total)
     return total
 
 
 def generic_component_dim(m: MultiplicitySequence) -> int:
     """Dimension of the moduli component of the generic curve in the class."""
     total = 0
-    for p in m.points:
-        total += moduli_dim_term(adjusted_multiplicity(p))
-        check_int64(total)
+    for run in m.runs:
+        term = run.count * moduli_dim_term(adjusted_multiplicity(run))
+        total += term
+        check_int64(term, total)
     return total
 
 
@@ -137,15 +147,16 @@ def _minimal_tjurina_formula(m: MultiplicitySequence) -> int:
     n = m.origin_multiplicity
     check_int64(n * n)
     total = moduli_dim_term(n) + _exact_div(n * n + 3 * n - 6, 2, "origin term")
-    for p in m.points:
-        e = p.multiplicity
-        if p.kind is PointKind.FREE:
+    check_int64(total)
+    for e, count, kind, _ in m.runs[1:]:  # past the origin: free or satellite
+        if kind is _FREE:
             num = (e - 1) * (e + 2) + 2 * moduli_dim_term(e + 1)
-            total += _exact_div(num, 2, "free point term")
-        elif p.kind is PointKind.SATELLITE:
+            term = count * _exact_div(num, 2, "free point term")
+        else:
             num = e * (e - 1) + 2 * moduli_dim_term(e + 2)
-            total += _exact_div(num, 2, "satellite point term")
-        check_int64(total)
+            term = count * _exact_div(num, 2, "satellite point term")
+        total += term
+        check_int64(term, total)
     return total
 
 
@@ -183,13 +194,14 @@ def _differential_gap_formula(m: MultiplicitySequence) -> int:
     """Closed sum for the generic count of differential-value gaps."""
     n = m.origin_multiplicity
     total = moduli_dim_term(n) + n - 2
-    for p in m.points:
-        e = p.multiplicity
-        if p.kind is PointKind.FREE:
-            total += (e - 1) + moduli_dim_term(e + 1)
-        elif p.kind is PointKind.SATELLITE:
-            total += moduli_dim_term(e + 2)
-        check_int64(total)
+    check_int64(total)
+    for e, count, kind, _ in m.runs[1:]:  # past the origin: free or satellite
+        if kind is _FREE:
+            term = count * ((e - 1) + moduli_dim_term(e + 1))
+        else:
+            term = count * moduli_dim_term(e + 2)
+        total += term
+        check_int64(term, total)
     return total
 
 
@@ -274,7 +286,7 @@ def _evaluate(c: CharacteristicExponents) -> SimpleNamespace:
         step = "conductor_sieve_agreement"
         v.conductor = _conductor_formula(v.s)
         v.sieve = _membership_sieve(v.s.gens, v.conductor + c.n)
-        v.gaps = v.conductor - v.sieve.count(1, 0, v.conductor)
+        v.gaps = v.conductor - _members_below(v.sieve, v.conductor)
         step = "tau_min_double_computation"
         v.mu = milnor_number(v.seq)
         v.tau_minus = mu_constant_stratum_dim(v.seq)
@@ -283,7 +295,9 @@ def _evaluate(c: CharacteristicExponents) -> SimpleNamespace:
         v.delta_gaps = _differential_gap_formula(v.seq)
         v.bound = tjurina_lower_bound(c.n)
         v.free_slack = sum(
-            p.multiplicity - 1 for p in v.seq.points if p.kind is PointKind.FREE
+            (e - 1) * count
+            for e, count, kind, _ in v.seq.runs
+            if kind is _FREE
         )
     except BranchInvariantError as exc:
         exc.identity = step

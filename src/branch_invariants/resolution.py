@@ -17,14 +17,24 @@ always exactly attainable, and three sum identities pin the result:
     sum over satellite points        = n - 1
 
 All three are asserted before a sequence is returned.
+
+Run-length representation.  A sequence is stored as runs
+(multiplicity, count, kind, stage) of equal consecutive points, one per
+division step: the free/satellite split of a stage cuts at most one
+run, and the origin splits off the first run.  Adjacent runs with equal
+multiplicity, kind and stage are always merged and empty runs dropped,
+so two sequences are equal exactly when their point lists are.  A class
+therefore costs O(g log beta_g) however many points it has; `points`
+expands the runs on demand, up to the same cap as the membership sieve.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .combinatorics import CharacteristicExponents
+from .combinatorics import SIEVE_LIMIT, CharacteristicExponents
 from .errors import DomainError, InternalInvariantViolation
 
 
@@ -32,6 +42,11 @@ class PointKind(enum.Enum):
     ORIGIN = "origin"
     FREE = "free"
     SATELLITE = "satellite"
+
+
+# the kinds under plain names: on CPython 3.11 looking a member up on the
+# enum class costs ten times as much, and the sums test the kind of every run
+_ORIGIN, _FREE, _SATELLITE = PointKind.ORIGIN, PointKind.FREE, PointKind.SATELLITE
 
 
 @dataclass(frozen=True)
@@ -47,96 +62,135 @@ class InfinitelyNearPoint:
             )
 
 
+class Run(NamedTuple):
+    """count consecutive points of one multiplicity, kind and stage."""
+
+    multiplicity: int
+    count: int
+    kind: PointKind
+    stage: int
+
+
 @dataclass(frozen=True)
 class MultiplicitySequence:
-    points: tuple[InfinitelyNearPoint, ...]
+    """The resolution's points as runs, kept canonical on construction."""
+
+    runs: tuple[Run, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "points", tuple(self.points))
-        if not self.points or self.points[0].kind is not PointKind.ORIGIN:
+        runs: list[Run] = []
+        for run in self.runs:
+            m, count, kind, stage = run
+            if m < 1 or count < 0:
+                raise InternalInvariantViolation(f"invalid run {tuple(run)}")
+            if not count:
+                continue
+            last = runs[-1] if runs else None
+            if last and (last.multiplicity, last.kind, last.stage) == (m, kind, stage):
+                runs[-1] = last._replace(count=last.count + count)
+            else:
+                runs.append(run)
+        object.__setattr__(self, "runs", tuple(runs))
+        if not runs or runs[0].kind is not _ORIGIN:
             raise InternalInvariantViolation("sequence must start at the origin")
-        if any(p.kind is PointKind.ORIGIN for p in self.points[1:]):
+        if runs[0].count != 1 or any(r.kind is _ORIGIN for r in runs[1:]):
             raise InternalInvariantViolation("only the first point is the origin")
 
     @property
-    def origin_multiplicity(self) -> int:
-        return self.points[0].multiplicity
+    def points(self) -> tuple[InfinitelyNearPoint, ...]:
+        """Every point in order; refused above SIEVE_LIMIT points."""
+        total = sum(r.count for r in self.runs)
+        if total > SIEVE_LIMIT:
+            raise DomainError(
+                f"{total} resolution points exceed the expansion limit of "
+                f"{SIEVE_LIMIT} (SIEVE_LIMIT)"
+            )
+        points: list[InfinitelyNearPoint] = []
+        for r in self.runs:
+            points += [InfinitelyNearPoint(r.multiplicity, r.kind, r.stage)] * r.count
+        return tuple(points)
 
-    def multiplicities(self) -> tuple[int, ...]:
-        return tuple(p.multiplicity for p in self.points)
+    @property
+    def origin_multiplicity(self) -> int:
+        return self.runs[0].multiplicity
 
     def sum_total(self) -> int:
-        return sum(p.multiplicity for p in self.points)
+        return sum(m * count for m, count, _, _ in self.runs)
 
     def sum_free(self) -> int:
-        return sum(p.multiplicity for p in self.points if p.kind is PointKind.FREE)
+        return sum(m * count for m, count, kind, _ in self.runs if kind is _FREE)
 
     def sum_satellite(self) -> int:
-        return sum(p.multiplicity for p in self.points if p.kind is PointKind.SATELLITE)
+        return sum(m * count for m, count, kind, _ in self.runs if kind is _SATELLITE)
 
 
-def _euclid_multiplicities(a: int, b: int) -> list[int]:
-    """Multiplicities emitted by the Euclidean algorithm on (a, b).
+def _euclid_runs(a: int, b: int) -> list[tuple[int, int]]:
+    """(multiplicity, count) runs emitted by the Euclidean algorithm on (a, b).
 
-    Each step a = q b + r contributes b repeated q times; the run ends
-    when the remainder hits zero, so the last emitted value is gcd(a, b).
+    Each step a = q b + r contributes b repeated q times (nothing when
+    q = 0); the run ends when the remainder hits zero, so the last
+    emitted value is gcd(a, b).
     """
-    out: list[int] = []
+    out: list[tuple[int, int]] = []
     while b > 0:
         q, r = divmod(a, b)
-        out.extend([b] * q)
+        if q:
+            out.append((b, q))
         a, b = b, r
     return out
 
 
 def _mark_stage(
-    mults: list[int], stage: int, free_target: int, skip_origin: bool
-) -> list[InfinitelyNearPoint]:
+    runs: list[tuple[int, int]], stage: int, free_target: int, skip_origin: bool
+) -> list[Run]:
     """Split one stage into free prefix and satellite tail.
 
     The free points are the maximal prefix (after the origin when
     skip_origin) summing exactly to free_target; the prefix must land on
     the target exactly or the generating algorithm is broken.
     """
-    points: list[InfinitelyNearPoint] = []
-    idx = 0
+    out: list[Run] = []
     if skip_origin:
-        points.append(InfinitelyNearPoint(mults[0], PointKind.ORIGIN, stage))
-        idx = 1
-    acc = 0
-    while idx < len(mults) and acc + mults[idx] <= free_target:
-        acc += mults[idx]
-        points.append(InfinitelyNearPoint(mults[idx], PointKind.FREE, stage))
-        idx += 1
-    if acc != free_target:
+        m, q = runs[0]
+        out.append(Run(m, 1, _ORIGIN, stage))
+        runs = [(m, q - 1), *runs[1:]]
+    left = free_target
+    for i, (m, q) in enumerate(runs):
+        free = max(0, min(q, left // m))
+        left -= free * m
+        if free:
+            out.append(Run(m, free, _FREE, stage))
+        if free < q:
+            out.append(Run(m, q - free, _SATELLITE, stage))
+            out += [Run(m2, q2, _SATELLITE, stage) for m2, q2 in runs[i + 1:]]
+            break
+    if left:
         raise InternalInvariantViolation(
-            f"stage {stage}: free prefix reaches {acc}, not {free_target}"
+            f"stage {stage}: free prefix reaches {free_target - left}, not {free_target}"
         )
-    for m in mults[idx:]:
-        points.append(InfinitelyNearPoint(m, PointKind.SATELLITE, stage))
-    return points
+    return out
 
 
 def _build_sequence(c: CharacteristicExponents) -> MultiplicitySequence:
     """The stages of c marked and joined, before the sum identities are checked."""
     chain = c.gcd_chain
-    points: list[InfinitelyNearPoint] = []
+    runs: list[Run] = []
     for i in range(1, c.g + 1):
         if i == 1:
-            mults = _euclid_multiplicities(c.beta[0], c.n)
+            stage_runs = _euclid_runs(c.beta[0], c.n)
             free_target = c.beta[0] - c.n
         else:
-            mults = _euclid_multiplicities(c.beta[i - 1] - c.beta[i - 2], chain[i - 1])
+            stage_runs = _euclid_runs(c.beta[i - 1] - c.beta[i - 2], chain[i - 1])
             free_target = c.beta[i - 1] - c.beta[i - 2]
-        if not mults or any(m < 1 for m in mults):
+        if not stage_runs:
             raise InternalInvariantViolation(f"stage {i} emitted no valid points")
-        for j in range(1, len(mults)):
-            if mults[j] > mults[j - 1]:
+        for j in range(1, len(stage_runs)):
+            if stage_runs[j][0] > stage_runs[j - 1][0]:
                 raise InternalInvariantViolation(
-                    f"stage {i} multiplicities increase at position {j}"
+                    f"stage {i} multiplicities increase at run {j}"
                 )
-        points.extend(_mark_stage(mults, i, free_target, skip_origin=(i == 1)))
-    return MultiplicitySequence(tuple(points))
+        runs += _mark_stage(stage_runs, i, free_target, skip_origin=(i == 1))
+    return MultiplicitySequence(tuple(runs))
 
 
 def multiplicity_sequence(c: CharacteristicExponents) -> MultiplicitySequence:
@@ -171,8 +225,5 @@ def append_smooth_points(m: MultiplicitySequence, k: int) -> MultiplicitySequenc
     """
     if k < 0:
         raise DomainError(f"cannot append {k} points")
-    stage = m.points[-1].stage
-    extra = tuple(
-        InfinitelyNearPoint(1, PointKind.FREE, stage) for _ in range(k)
-    )
-    return MultiplicitySequence(m.points + extra)
+    stage = m.runs[-1].stage
+    return MultiplicitySequence(m.runs + (Run(1, k, _FREE, stage),))

@@ -5,9 +5,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+from time import perf_counter
 
 import pytest
 
+from branch_invariants import CharacteristicExponents, multiplicity_sequence
 from branch_invariants.cli import main
 
 
@@ -203,3 +205,70 @@ class TestErrorPaths:
         code, _, err = run(capsys, "invariants", "--pair", "1,2")
         assert code == 2
         assert "smooth" in err
+
+
+class TestInt64Edges:
+    """Classes whose sieve or values leave every limit fail fast with exit 2."""
+
+    @pytest.mark.parametrize(
+        "pair", ["2,1000000000000000001", "3037000499,3037000500", "3,9223372036854775807"]
+    )
+    def test_exit_2_within_a_second(self, capsys, pair):
+        started = perf_counter()
+        code, out, err = run(capsys, "invariants", "--pair", pair)
+        assert perf_counter() - started < 1.0
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_sieve_limit_is_named(self, capsys):
+        _, _, err = run(capsys, "invariants", "--pair", "2,1000000000000000001")
+        assert "SIEVE_LIMIT" in err
+
+
+# (2; 6001) has 3,002 points in 4 runs, (4; 6, 2003) 1,003 points over two pairs
+LONG_CHAINS = ["2:6001", "4:6,2003"]
+
+
+def points_of(spec: str):
+    n, beta = spec.split(":")
+    c = CharacteristicExponents(int(n), tuple(int(b) for b in beta.split(",")))
+    return multiplicity_sequence(c).points
+
+
+class TestLongChainRendering:
+    """Each format equals a point-by-point rendering, byte for byte."""
+
+    @pytest.mark.parametrize("spec", LONG_CHAINS)
+    def test_json(self, capsys, spec):
+        _, out, _ = run(capsys, "invariants", "--char-exponents", spec, "--format", "json")
+        doc = json.loads(out)
+        doc["multiplicity_sequence"] = [
+            {"multiplicity": p.multiplicity, "kind": p.kind.value, "stage": p.stage}
+            for p in points_of(spec)
+        ]
+        assert out == json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize("spec", LONG_CHAINS)
+    def test_csv(self, capsys, spec):
+        _, out, _ = run(capsys, "invariants", "--char-exponents", spec, "--format", "csv")
+        row = next(csv.DictReader(io.StringIO(out)))
+        row["multiplicity_sequence"] = ";".join(
+            f"{p.multiplicity}{p.kind.value[0]}" for p in points_of(spec)
+        )
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=list(row), lineterminator="\n")
+        writer.writeheader()
+        writer.writerow(row)
+        assert out == buf.getvalue()
+
+    @pytest.mark.parametrize("spec", LONG_CHAINS)
+    def test_table(self, capsys, spec):
+        _, out, _ = run(capsys, "invariants", "--char-exponents", spec)
+        points = points_of(spec)
+        assert len(points) > 1000
+        lines = out.split("multiplicity sequence:\n")[1].splitlines()
+        assert lines[: len(points)] == [
+            f"  stage {p.stage}  {p.multiplicity:>3}  {p.kind.value}" for p in points
+        ]
+        assert lines[len(points)].startswith("mu ")

@@ -7,6 +7,7 @@ import pytest
 from branch_invariants import (
     CharacteristicExponents,
     DivisibilityViolationError,
+    DomainError,
     EnumerationBounds,
     GcdNotOneError,
     NonIncreasingError,
@@ -22,6 +23,7 @@ from branch_invariants import (
     validate_char_exponents,
     validate_semigroup,
 )
+from branch_invariants.combinatorics import SIEVE_LIMIT
 from oracles import naive_conductor_and_gaps
 
 
@@ -173,3 +175,17 @@ class TestConductorAndGaps:
         # <n, m> coprime has conductor (n - 1)(m - 1)
         for n, m in [(2, 3), (3, 4), (5, 7), (6, 7), (8, 9), (9, 10)]:
             assert conductor(SemigroupGenerators((n, m))) == (n - 1) * (m - 1)
+
+
+class TestSieveLimit:
+    def test_above_the_limit_is_refused(self):
+        s = SemigroupGenerators((2, 10**7 + 1))
+        for fn in (conductor, gap_count):
+            with pytest.raises(DomainError, match="SIEVE_LIMIT"):
+                fn(s)
+
+    def test_just_below_the_limit_is_sieved(self):
+        m = SIEVE_LIMIT - 3  # c + n = (m - 1) + 2 = SIEVE_LIMIT - 2
+        s = SemigroupGenerators((2, m))
+        assert conductor(s) == m - 1
+        assert gap_count(s) == (m - 1) // 2

@@ -4,36 +4,54 @@ from __future__ import annotations
 
 import math
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from branch_invariants import (
     CharacteristicExponents,
+    OverflowLimitError,
+    append_smooth_points,
     conductor,
+    differential_gap_count,
     full_report,
+    gap_count,
+    generic_component_dim,
+    milnor_number,
+    minimal_tjurina,
+    mu_constant_stratum_dim,
     multiplicity_sequence,
     semigroup_from_char_exponents,
+    tjurina_lower_bound,
+)
+from branch_invariants.combinatorics import _conductor_formula
+from branch_invariants.errors import INT64_MAX
+from branch_invariants.invariants import (
+    _differential_gap_formula,
+    _minimal_tjurina_formula,
 )
 from oracles import blowup_multiplicity_sequence, naive_conductor_and_gaps
 
 MAX_MULT = 16  # so g <= 4: each pair at least halves the running gcd
 MAX_BETA = 300
+DEEP_MULT = 32  # so g <= 5
+DEEP_BETA = 200
 
 
 @st.composite
-def classes(draw) -> CharacteristicExponents:
-    """Admissible (n; beta_1, ..., beta_g) with n <= 16 and beta_g <= 300.
+def classes(draw, max_mult=MAX_MULT, max_beta=MAX_BETA) -> CharacteristicExponents:
+    """Admissible (n; beta_1, ..., beta_g) with n <= max_mult, beta_g <= max_beta.
 
     Each exponent is drawn among those that lower the gcd to a chosen
     proper divisor; all but the last stay in the lower half of what is
     left, so the next pair always has more than n values to choose from.
     """
-    n = draw(st.integers(2, MAX_MULT))
+    n = draw(st.integers(2, max_mult))
     e, beta = n, []
     while e > 1:
         e_next = draw(st.sampled_from([d for d in range(1, e) if e % d == 0]))
         low = (beta[-1] if beta else n) + 1
-        high = MAX_BETA if e_next == 1 else (low + MAX_BETA) // 2
+        high = max_beta if e_next == 1 else (low + max_beta) // 2
         beta.append(draw(st.sampled_from(
             [b for b in range(low, high + 1) if math.gcd(e, b) == e_next]
         )))
@@ -52,3 +70,115 @@ def test_full_report_matches_oracles(c):
     assert conductor(semigroup_from_char_exponents(c)) == want_conductor
     got = [(p.multiplicity, p.kind.value) for p in multiplicity_sequence(c).points]
     assert got == blowup_multiplicity_sequence(c.n, c.beta)
+
+
+def sigma(k: int) -> int:
+    """The moduli dimension term, restated: (k-2)(k-4)/4 or (k-3)^2/4."""
+    return (k - 2) * (k - 4) // 4 if k % 2 == 0 else (k - 3) ** 2 // 4
+
+
+def pointwise_sums(m) -> tuple[int, int, int, int, int]:
+    """mu, tau-, q_min, tau_min and the gap count, summed point by point."""
+    points = m.points
+    n = points[0].multiplicity
+    adjusted = [
+        p.multiplicity + {"origin": 0, "free": 1, "satellite": 2}[p.kind.value]
+        for p in points
+    ]
+    mu = sum(p.multiplicity * (p.multiplicity - 1) for p in points)
+    tau_minus = sum((k - 2) * (k - 3) // 2 for k in adjusted)
+    q_min = sum(sigma(k) for k in adjusted)
+    tau_min = sigma(n) + (n * n + 3 * n - 6) // 2
+    gaps = sigma(n) + n - 2
+    for p in points[1:]:
+        e = p.multiplicity
+        if p.kind.value == "free":
+            tau_min += ((e - 1) * (e + 2) + 2 * sigma(e + 1)) // 2
+            gaps += e - 1 + sigma(e + 1)
+        else:
+            tau_min += (e * (e - 1) + 2 * sigma(e + 2)) // 2
+            gaps += sigma(e + 2)
+    return mu, tau_minus, q_min, tau_min, gaps
+
+
+@settings(max_examples=100, deadline=None)
+@given(classes(max_mult=DEEP_MULT, max_beta=DEEP_BETA))
+def test_runs_expand_to_the_blowup_sequence(c):
+    got = [(p.multiplicity, p.kind.value) for p in multiplicity_sequence(c).points]
+    assert got == blowup_multiplicity_sequence(c.n, c.beta)
+
+
+@settings(max_examples=100, deadline=None)
+@given(classes(max_mult=DEEP_MULT, max_beta=DEEP_BETA))
+def test_bitset_sieve_matches_enumeration(c):
+    s = semigroup_from_char_exponents(c)
+    want_conductor, want_gaps = naive_conductor_and_gaps(s.gens)
+    assert conductor(s) == want_conductor
+    assert gap_count(s) == len(want_gaps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(classes(max_mult=DEEP_MULT, max_beta=DEEP_BETA), st.integers(0, 3))
+def test_run_sums_match_pointwise_sums(c, extra):
+    m = append_smooth_points(multiplicity_sequence(c), extra)
+    assert (
+        milnor_number(m),
+        mu_constant_stratum_dim(m),
+        generic_component_dim(m),
+        _minimal_tjurina_formula(m),
+        _differential_gap_formula(m),
+    ) == pointwise_sums(m)
+    assert minimal_tjurina(m) == pointwise_sums(m)[3]
+    assert differential_gap_count(m) == pointwise_sums(m)[4]
+
+
+@st.composite
+def huge_classes(draw) -> CharacteristicExponents:
+    """Admissible classes with g <= 5 whose values reach the int64 edges.
+
+    n is the product of the multipliers n_i = e_{i-1}/e_i, and each
+    beta_i = e_i k with k prime to n_i, drawn from a share of the room
+    left below INT64_MAX that leaves space for the pairs still to come.
+    """
+    g = draw(st.integers(1, 5))
+    mults = [draw(st.integers(2, 2 ** (62 // g))) for _ in range(g)]
+    e = math.prod(mults)
+    n, beta = e, []
+    for i, n_i in enumerate(mults):
+        e //= n_i
+        low = (beta[-1] if beta else n) // e + 1
+        room = (INT64_MAX // e - low) >> (8 * (g - 1 - i))
+        k = low + draw(st.integers(0, room))
+        while math.gcd(k, n_i) != 1:
+            k += 1
+        beta.append(e * k)
+    assume(beta[-1] <= INT64_MAX)
+    return CharacteristicExponents(n, tuple(beta))
+
+
+@settings(max_examples=200, deadline=None)
+@given(huge_classes())
+@example(CharacteristicExponents(2, (10**18 + 1,)))
+@example(CharacteristicExponents(3037000499, (3037000500,)))
+@example(CharacteristicExponents(3, (INT64_MAX,)))
+def test_runs_reach_the_int64_edges(c):
+    """No sieve and no expansion: closed forms only, or an overflow error."""
+    try:
+        m = multiplicity_sequence(c)
+        mu = milnor_number(m)
+        tau_min = minimal_tjurina(m)
+        bound = tjurina_lower_bound(c.n)
+        conductor_formula = _conductor_formula(semigroup_from_char_exponents(c))
+    except OverflowLimitError:
+        return
+    assert mu == conductor_formula
+    assert tau_min >= bound
+    assert 3 * mu < 4 * tau_min
+
+
+def test_int64_edge_example_values():
+    m = multiplicity_sequence(CharacteristicExponents(2, (10**18 + 1,)))
+    assert milnor_number(m) == 10**18
+    assert len(m.runs) == 4
+    with pytest.raises(OverflowLimitError):
+        milnor_number(multiplicity_sequence(CharacteristicExponents(3, (INT64_MAX,))))

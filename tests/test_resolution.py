@@ -8,11 +8,14 @@ from branch_invariants import (
     CharacteristicExponents,
     DomainError,
     EnumerationBounds,
+    InternalInvariantViolation,
+    MultiplicitySequence,
     PointKind,
     append_smooth_points,
     enumerate_classes,
     multiplicity_sequence,
 )
+from branch_invariants.resolution import Run
 from oracles import blowup_multiplicity_sequence
 
 O, F, S = "origin", "free", "satellite"
@@ -116,3 +119,47 @@ class TestAppendSmoothPoints:
         m = multiplicity_sequence(CharacteristicExponents(2, (3,)))
         with pytest.raises(DomainError):
             append_smooth_points(m, -1)
+
+
+class TestRuns:
+    def test_long_chain_is_four_runs(self):
+        m = multiplicity_sequence(CharacteristicExponents(2, (6001,)))
+        assert m.runs == (
+            Run(2, 1, PointKind.ORIGIN, 1),
+            Run(2, 2999, PointKind.FREE, 1),
+            Run(1, 1, PointKind.FREE, 1),
+            Run(1, 1, PointKind.SATELLITE, 1),
+        )
+        assert len(m.points) == 3002
+
+    def test_adjacent_equal_runs_merge_and_empty_runs_drop(self):
+        o, f, s = PointKind.ORIGIN, PointKind.FREE, PointKind.SATELLITE
+        merged = MultiplicitySequence(
+            (Run(3, 1, o, 1), Run(1, 1, f, 1), Run(1, 0, s, 1), Run(1, 2, f, 1))
+        )
+        assert merged.runs == (Run(3, 1, o, 1), Run(1, 3, f, 1))
+        assert merged.points == MultiplicitySequence(merged.runs).points
+
+    def test_appending_extends_one_run(self):
+        m = multiplicity_sequence(CharacteristicExponents(5, (7,)))
+        twice = append_smooth_points(append_smooth_points(m, 2), 3)
+        assert twice == append_smooth_points(m, 5)
+        assert len(twice.runs) == len(m.runs) + 1
+
+    def test_malformed_runs_rejected(self):
+        o, f = PointKind.ORIGIN, PointKind.FREE
+        for runs in (
+            (Run(1, 1, f, 1),),
+            (Run(3, 2, o, 1),),
+            (Run(3, 1, o, 1), Run(2, 1, o, 1)),
+            (Run(3, 1, o, 1), Run(0, 1, f, 1)),
+            (Run(3, 1, o, 1), Run(1, -1, f, 1)),
+        ):
+            with pytest.raises(InternalInvariantViolation):
+                MultiplicitySequence(runs)
+
+    def test_expansion_is_capped(self):
+        m = multiplicity_sequence(CharacteristicExponents(2, (10**18 + 1,)))
+        assert m.sum_total() == 10**18 + 2
+        with pytest.raises(DomainError, match="SIEVE_LIMIT"):
+            m.points
