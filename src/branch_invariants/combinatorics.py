@@ -8,6 +8,10 @@ converts in both directions, and computes the conductor and the gap
 count of the semigroup.  Both are cross-checked against a membership
 sieve held as one integer bitset, refused above SIEVE_LIMIT cells.
 
+SEMIGROUP_IDENTITIES holds the semigroup rows of invariants.IDENTITIES:
+gcd_chain_consistency, conductor_sieve_agreement and semigroup_symmetry.
+conductor and gap_count run the last two on the semigroup they are given.
+
 Conventions.  n >= 2 is the multiplicity, g >= 1 the number of
 characteristic pairs.  The gcd chain is e_0 = n, e_i = gcd(e_{i-1}, b_i);
 admissibility requires n < b_1 < ... < b_g, each b_i not divisible by
@@ -17,7 +21,8 @@ e_{i-1}, and e_g = 1.  Smooth branches (g = 0) are rejected everywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 from .errors import (
     DivisibilityViolationError,
@@ -28,6 +33,8 @@ from .errors import (
     NotPlaneError,
     NotSingularError,
     check_int64,
+    check_rows,
+    exact_div,
 )
 
 # The membership sieve (c + n cells) and the expanded point list (never
@@ -47,29 +54,25 @@ class CharacteristicExponents:
 
     n: int
     beta: tuple[int, ...]
+    # (e_0, e_1, ..., e_g) with e_0 = n and e_i = gcd(e_{i-1}, beta_i),
+    # kept from validation; n and beta alone decide equality and hash
+    gcd_chain: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "beta", tuple(int(b) for b in self.beta))
         object.__setattr__(self, "n", int(self.n))
-        _validate_exponents(self.n, self.beta)
+        object.__setattr__(self, "gcd_chain", _validate_exponents(self.n, self.beta))
 
     @property
     def g(self) -> int:
         return len(self.beta)
 
-    @property
-    def gcd_chain(self) -> tuple[int, ...]:
-        """(e_0, e_1, ..., e_g) with e_0 = n and e_i = gcd(e_{i-1}, beta_i)."""
-        chain = [self.n]
-        for b in self.beta:
-            chain.append(math.gcd(chain[-1], b))
-        return tuple(chain)
-
     def __str__(self) -> str:
         return f"({self.n}; {', '.join(str(b) for b in self.beta)})"
 
 
-def _validate_exponents(n: int, beta: tuple[int, ...]) -> None:
+def _validate_exponents(n: int, beta: tuple[int, ...]) -> tuple[int, ...]:
+    """The gcd chain of (n; beta), once every admissibility condition holds."""
     check_int64(n, *beta)
     if len(beta) == 0 or n < 2:
         raise NotSingularError(
@@ -83,15 +86,16 @@ def _validate_exponents(n: int, beta: tuple[int, ...]) -> None:
                 f"beta_{i} = {b} is not greater than {prev}"
             )
         prev = b
-    e = n
+    chain = [n]
     for i, b in enumerate(beta, start=1):
-        if b % e == 0:
+        if b % chain[-1] == 0:
             raise DivisibilityViolationError(
-                f"beta_{i} = {b} is divisible by e_{i - 1} = {e}"
+                f"beta_{i} = {b} is divisible by e_{i - 1} = {chain[-1]}"
             )
-        e = math.gcd(e, b)
-    if e != 1:
-        raise GcdNotOneError(f"gcd chain ends at e_g = {e}, not 1")
+        chain.append(math.gcd(chain[-1], b))
+    if chain[-1] != 1:
+        raise GcdNotOneError(f"gcd chain ends at e_g = {chain[-1]}, not 1")
+    return tuple(chain)
 
 
 @dataclass(frozen=True)
@@ -104,10 +108,12 @@ class SemigroupGenerators:
     """
 
     gens: tuple[int, ...]
+    # (e_0, ..., e_g) with e_i = gcd(v_0, ..., v_i), kept from validation
+    gcd_chain: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "gens", tuple(int(v) for v in self.gens))
-        _validate_generators(self.gens)
+        object.__setattr__(self, "gcd_chain", _validate_generators(self.gens))
 
     @property
     def n(self) -> int:
@@ -116,14 +122,6 @@ class SemigroupGenerators:
     @property
     def g(self) -> int:
         return len(self.gens) - 1
-
-    @property
-    def gcd_chain(self) -> tuple[int, ...]:
-        """(e_0, ..., e_g) with e_i = gcd(v_0, ..., v_i)."""
-        chain = [self.gens[0]]
-        for v in self.gens[1:]:
-            chain.append(math.gcd(chain[-1], v))
-        return tuple(chain)
 
     @property
     def multipliers(self) -> tuple[int, ...]:
@@ -135,7 +133,8 @@ class SemigroupGenerators:
         return f"<{', '.join(str(v) for v in self.gens)}>"
 
 
-def _validate_generators(gens: tuple[int, ...]) -> None:
+def _validate_generators(gens: tuple[int, ...]) -> tuple[int, ...]:
+    """The gcd chain of gens, once every plane-branch condition holds."""
     check_int64(*gens)
     if len(gens) < 2 or gens[0] < 2:
         raise NotSingularError(
@@ -167,6 +166,7 @@ def _validate_generators(gens: tuple[int, ...]) -> None:
             )
     if chain[-1] != 1:
         raise GcdNotOneError(f"gcd of all generators is {chain[-1]}, not 1")
+    return tuple(chain)
 
 
 def validate_char_exponents(n: int, beta) -> CharacteristicExponents:
@@ -192,11 +192,7 @@ def semigroup_from_char_exponents(c: CharacteristicExponents) -> SemigroupGenera
         e_i = chain[i]
         # e_0 = n, so the j = 1 term is (n - e_1) beta_1
         acc = sum((chain[j - 1] - chain[j]) * c.beta[j - 1] for j in range(1, i + 1))
-        if acc % e_i != 0:
-            raise InternalInvariantViolation(
-                f"generator accumulator {acc} not divisible by e_{i} = {e_i}"
-            )
-        v = acc // e_i + c.beta[i]
+        v = exact_div(acc, e_i, "generator accumulator") + c.beta[i]
         check_int64(acc, v)
         gens.append(v)
     return SemigroupGenerators(tuple(gens))
@@ -269,48 +265,57 @@ def _conductor_formula(s: SemigroupGenerators) -> int:
     return c
 
 
-def _conductor_sieve_disagreement(
-    s: SemigroupGenerators, c: int, sieve: int
-) -> str | None:
-    """Why a membership sieve of length >= c + v_0 rules out c, else None."""
-    if c < 1 or (sieve >> (c - 1)) & 1:
+def _read_sieve(v: SimpleNamespace) -> SimpleNamespace:
+    """v with the sieve of length c + v_0 for v.s, v.conductor and the gaps below c."""
+    v.sieve = _membership_sieve(v.s.gens, v.conductor + v.s.n)
+    v.gaps = v.conductor - _members_below(v.sieve, v.conductor)
+    return v
+
+
+def _conductor_sieve_agreement(v: SimpleNamespace) -> str | None:
+    """c - 1 must be a gap and the next v_0 values members, in v.sieve."""
+    s, c = v.s, v.conductor
+    if c < 1 or (v.sieve >> (c - 1)) & 1:
         return f"conductor formula gave {c} for {s} but {c - 1} is not a gap"
     window = (1 << s.n) - 1
-    if (sieve >> c) & window != window:
+    if (v.sieve >> c) & window != window:
         return f"conductor formula gave {c} for {s} but a larger gap exists"
     return None
 
 
-def _checked_conductor(s: SemigroupGenerators) -> tuple[int, int]:
-    """The closed-form conductor c and a sieve of length c + v_0 confirming it."""
-    c = _conductor_formula(s)
-    sieve = _membership_sieve(s.gens, c + s.n)
-    problem = _conductor_sieve_disagreement(s, c, sieve)
-    if problem is not None:
-        raise InternalInvariantViolation(problem)
-    return c, sieve
+# the rows of invariants.IDENTITIES about the semigroup, in table order
+SEMIGROUP_IDENTITIES = (
+    ("gcd_chain_consistency",
+     lambda v: None if v.s.gcd_chain == v.c.gcd_chain
+     else f"{v.s.gcd_chain} vs {v.c.gcd_chain}"),
+    ("conductor_sieve_agreement", _conductor_sieve_agreement),
+    ("semigroup_symmetry",
+     lambda v: None if 2 * v.gaps == v.conductor else "gap count is not conductor/2"),
+)
+
+
+def _checked_semigroup(s: SemigroupGenerators, names: tuple[str, ...]) -> SimpleNamespace:
+    """Conductor, sieve and gap count of s, once the named rows hold on them."""
+    v = _read_sieve(SimpleNamespace(s=s, conductor=_conductor_formula(s)))
+    check_rows(SEMIGROUP_IDENTITIES, v, names, s)
+    return v
 
 
 def conductor(s: SemigroupGenerators) -> int:
     """Smallest c with c + N contained in the semigroup.
 
     Computed by the closed form sum_i (n_i - 1) v_i - v_0 + 1 and
-    cross-checked against an explicit membership sieve: c - 1 must be a
-    gap and the next v_0 consecutive values must all be members.
+    cross-checked against an explicit membership sieve by the
+    conductor_sieve_agreement row.
     """
-    return _checked_conductor(s)[0]
+    return _checked_semigroup(s, ("conductor_sieve_agreement",)).conductor
 
 
 def gap_count(s: SemigroupGenerators) -> int:
     """Number of naturals missing from the semigroup.
 
-    Counted from the conductor's membership sieve and checked against
-    conductor/2, which the symmetry of plane-branch semigroups forces.
+    Counted from the conductor's membership sieve, once the rows
+    conductor_sieve_agreement and semigroup_symmetry hold.
     """
-    c, sieve = _checked_conductor(s)
-    count = c - _members_below(sieve, c)
-    if c % 2 != 0 or count != c // 2:
-        raise InternalInvariantViolation(
-            f"{s} has {count} gaps but conductor {c}; symmetry requires c = 2 * gaps"
-        )
-    return count
+    names = ("conductor_sieve_agreement", "semigroup_symmetry")
+    return _checked_semigroup(s, names).gaps

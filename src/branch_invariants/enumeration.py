@@ -3,9 +3,10 @@
 Classes are generated in lexicographic order of (n, beta_1, ..., beta_g)
 by extending partial exponent tuples while the gcd chain stays above 1.
 A sweep evaluates each class in range once and runs every identity of
-invariants.IDENTITIES on it; a class whose computation raises or fails
-an identity is recorded as failed, with the reason, rather than
-aborting the sweep.
+invariants.IDENTITIES on it; a class that fails an identity or raises
+InternalInvariantViolation is recorded as failed, with the reason,
+rather than aborting the sweep.  An input or limit error, such as a
+membership sieve above SIEVE_LIMIT, aborts it.
 
 Parallel evaluation is opt-in through the environment variable
 BRANCH_INVARIANTS_THREADS (a positive integer capping worker count);
@@ -23,7 +24,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .combinatorics import CharacteristicExponents, SemigroupGenerators
-from .errors import BranchInvariantError, DomainError
+from .errors import DomainError, InternalInvariantViolation
 from .invariants import InvariantReport, _checked_report, _evaluate
 
 THREADS_ENV_VAR = "BRANCH_INVARIANTS_THREADS"
@@ -108,12 +109,16 @@ class SweepRecord:
 
 
 def evaluate_class(c: CharacteristicExponents) -> SweepRecord:
-    """Report and identity checks for one class, from one evaluation pass."""
+    """Report and identity checks for one class, from one evaluation pass.
+
+    A ValidationError or OverflowLimitError propagates: it is not a failed
+    identity, and the command line maps it to exit 2.
+    """
     names = CHECK_NAMES + (ONE_PAIR_CHECK,) if c.g == 1 else CHECK_NAMES
     try:
         v = _evaluate(c)
         r = _checked_report(v)
-    except BranchInvariantError as exc:
+    except InternalInvariantViolation as exc:
         checks = dict.fromkeys(names, False)
         return SweepRecord(c, None, None, checks, f"{type(exc).__name__}: {exc}")
     return SweepRecord(c, v.s, r, dict.fromkeys(names, True))

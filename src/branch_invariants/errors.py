@@ -4,9 +4,13 @@ Validation failures name the violated admissibility condition so callers
 (and the command line front end) can report a one-line diagnostic.
 InternalInvariantViolation is reserved for states the algorithms are
 supposed to make impossible; seeing one means a bug, not bad input.
+Every self-checking function raises it through check_rows, which runs
+rows of the identity table (see invariants.IDENTITIES).
 """
 
 from __future__ import annotations
+
+from typing import Any, Callable, Iterable
 
 # all arithmetic is checked against this range; Python ints never wrap,
 # so exceeding it raises instead of silently producing huge values
@@ -63,3 +67,31 @@ def check_int64(*values: int) -> None:
     for v in values:
         if v < INT64_MIN or v > INT64_MAX:
             raise OverflowLimitError(f"value {v} exceeds the signed 64-bit range")
+
+
+def exact_div(a: int, b: int, what: str) -> int:
+    """Division that must be exact; a remainder means a broken formula."""
+    q, r = divmod(a, b)
+    if r != 0:
+        raise InternalInvariantViolation(f"{what}: {a} is not divisible by {b}")
+    return q
+
+
+def failing_rows(rows: Iterable[tuple[str, Callable]], v: Any, names=None) -> list:
+    """(name, detail) of every row that fails on v, in table order.
+
+    A row is (name, check), check(v) returning None when its identity
+    holds and a one-line detail otherwise; names, if given, picks the rows
+    to run.
+    """
+    return [(name, detail) for name, check in rows
+            if (names is None or name in names) and (detail := check(v)) is not None]
+
+
+def check_rows(rows, v: Any, names=None, subject=None) -> None:
+    """Raise InternalInvariantViolation naming the first of failing_rows."""
+    failures = failing_rows(rows, v, names)
+    if failures:
+        name, detail = failures[0]
+        where = "" if subject is None else f"{subject}: "
+        raise InternalInvariantViolation(f"{where}{name} failed: {detail}")

@@ -1,37 +1,34 @@
 """Numerical invariants of an equisingularity class.
 
 Everything here is exact integer arithmetic over a multiplicity
-sequence.  Each invariant that admits two independent expressions is
-computed both ways and compared at runtime; a mismatch raises
-InternalInvariantViolation because it can only come from a bug.
-
-Quantities, with e_p the multiplicity at point p and e'_p the adjusted
-multiplicity (e_p at the origin, e_p + 1 at free points, e_p + 2 at
-satellite points):
+sequence.  Quantities, with e_p the multiplicity at point p and e'_p the
+adjusted multiplicity (e_p at the origin, e_p + 1 at free points, e_p + 2
+at satellite points):
 
     milnor_number            mu      = sum e_p (e_p - 1)
     mu_constant_stratum_dim  tau-    = sum (e'_p - 2)(e'_p - 3)/2
     generic_component_dim    q_min   = sum sigma(e'_p)
-    minimal_tjurina          tau_min = closed formula, checked against
-                                       q_min + mu - tau-
-    differential_gap_count           = tau_min - mu/2 - n + 1, checked
-                                       against a closed sum over points
+    minimal_tjurina          tau_min = closed sum over points
+    differential_gap_count           = closed sum over points
 
 with sigma(k) = (k-2)(k-4)/4 for even k and (k-3)^2/4 for odd k.
 Multiplicity-1 free points contribute zero to every sum, so invariants
-are stable under extending a resolution past the minimal one.
+are stable under extending a resolution past the minimal one.  Each sum
+is _run_sum of a per-point term: one count * term per run of equal
+points (see resolution), so its cost does not grow with the number of
+points, and each product and running total is checked against the
+64-bit range.  Every term is non-negative, so this raises exactly when
+the point-by-point sum would.
 
-Every sum runs over the runs of the sequence (see resolution), one
-count * term per run of equal points, so its cost does not grow with
-the number of points.  Each product and each running total is checked
-against the 64-bit range; every term is non-negative, so this raises
-exactly when the point-by-point sum would.
-
-The public functions above check themselves for library callers.  A
-whole class goes through one private pass instead, which computes every
-quantity once from the raw pieces, and through IDENTITIES, the one
-ordered table of named per-class identities that full_report, the sweep
-and the check suite all run.
+IDENTITIES is the one ordered table of named per-class identities: the
+semigroup round trip, combinatorics.SEMIGROUP_IDENTITIES,
+resolution.SEQUENCE_IDENTITIES, then the rows declared here, among them
+both routes to tau_min and both routes to the gap count.  A whole class
+goes through one private pass that computes every quantity once, and
+full_report, the sweep and the check suite run the whole table on it.
+minimal_tjurina, differential_gap_count and report_gap_count run their
+rows of the same table; a failing row raises InternalInvariantViolation
+naming it, because it can only come from a bug.
 """
 
 from __future__ import annotations
@@ -43,22 +40,25 @@ from types import SimpleNamespace
 from typing import Callable
 
 from .combinatorics import (
+    SEMIGROUP_IDENTITIES,
     CharacteristicExponents,
     _conductor_formula,
-    _conductor_sieve_disagreement,
     _exponents_from_generators,
-    _members_below,
-    _membership_sieve,
+    _read_sieve,
     semigroup_from_char_exponents,
 )
 from .errors import (
-    BranchInvariantError,
+    INT64_MAX,
     DomainError,
     InternalInvariantViolation,
     NegativeGapCountError,
     check_int64,
+    check_rows,
+    exact_div,
+    failing_rows,
 )
 from .resolution import (
+    SEQUENCE_IDENTITIES,
     InfinitelyNearPoint,
     MultiplicitySequence,
     Run,
@@ -76,14 +76,6 @@ def decimal_ratio(num: int, den: int, places: int = 6) -> str:
         return str(q.quantize(Decimal(1).scaleb(-places), rounding=ROUND_HALF_EVEN))
 
 
-def _exact_div(a: int, b: int, what: str) -> int:
-    """Division that must be exact; a remainder means a broken formula."""
-    q, r = divmod(a, b)
-    if r != 0:
-        raise InternalInvariantViolation(f"{what}: {a} is not divisible by {b}")
-    return q
-
-
 def moduli_dim_term(k: int) -> int:
     """Contribution of one resolution point to the generic moduli dimension.
 
@@ -93,8 +85,8 @@ def moduli_dim_term(k: int) -> int:
         raise DomainError(f"moduli term needs k >= 2, got {k}")
     check_int64(k * k)
     if k % 2 == 0:
-        return _exact_div((k - 2) * (k - 4), 4, "even moduli term")
-    return _exact_div((k - 3) * (k - 3), 4, "odd moduli term")
+        return exact_div((k - 2) * (k - 4), 4, "even moduli term")
+    return exact_div((k - 3) * (k - 3), 4, "odd moduli term")
 
 
 def adjusted_multiplicity(p: InfinitelyNearPoint | Run) -> int:
@@ -106,13 +98,44 @@ def adjusted_multiplicity(p: InfinitelyNearPoint | Run) -> int:
     return p.multiplicity + 2
 
 
+def _run_sum(m: MultiplicitySequence, term: Callable[[Run], int]) -> int:
+    """Sum of term(p) over the points p of m, as count * term(run) per run.
+
+    Each product and each running total is checked to stay in 64 bits.
+    """
+    total = 0
+    for run in m.runs:
+        product = run.count * term(run)
+        total += product
+        # check_int64 inline for the usual non-negative product, which
+        # cannot take a total that was in range below INT64_MIN
+        if not 0 <= product <= INT64_MAX or total > INT64_MAX:
+            check_int64(product, total)
+    return total
+
+
+def _tjurina_term(p: Run) -> int:
+    """sigma(e') plus (e^2+3e-6)/2 at the origin, (e-1)(e+2)/2 free, e(e-1)/2 else."""
+    e = p.multiplicity
+    if p.kind is _ORIGIN:
+        twice = e * e + 3 * e - 6
+    elif p.kind is _FREE:
+        twice = (e - 1) * (e + 2)
+    else:
+        twice = e * (e - 1)
+    return moduli_dim_term(adjusted_multiplicity(p)) + exact_div(twice, 2, "tau_min term")
+
+
+def _gap_term(p: Run) -> int:
+    """sigma(e') plus e - 2 at the origin, e - 1 at free points, 0 at satellites."""
+    e = p.multiplicity
+    rest = e - 2 if p.kind is _ORIGIN else e - 1 if p.kind is _FREE else 0
+    return moduli_dim_term(adjusted_multiplicity(p)) + rest
+
+
 def milnor_number(m: MultiplicitySequence) -> int:
     """Milnor number as sum of e_p(e_p - 1) over the resolution points."""
-    mu = 0
-    for e, count, _, _ in m.runs:
-        term = count * e * (e - 1)
-        mu += term
-        check_int64(term, mu)
+    mu = _run_sum(m, lambda p: p.multiplicity * (p.multiplicity - 1))
     if mu % 2 != 0:
         raise InternalInvariantViolation(f"Milnor number {mu} is odd")
     return mu
@@ -123,57 +146,44 @@ def mu_constant_stratum_dim(m: MultiplicitySequence) -> int:
 
     Sum of (e' - 2)(e' - 3)/2 over points, e' the adjusted multiplicity.
     """
-    total = 0
-    for run in m.runs:
-        k = adjusted_multiplicity(run)
-        term = run.count * _exact_div((k - 2) * (k - 3), 2, "stratum dimension term")
-        total += term
-        check_int64(term, total)
-    return total
+    return _run_sum(m, lambda p: math.comb(adjusted_multiplicity(p) - 2, 2))
 
 
 def generic_component_dim(m: MultiplicitySequence) -> int:
     """Dimension of the moduli component of the generic curve in the class."""
-    total = 0
-    for run in m.runs:
-        term = run.count * moduli_dim_term(adjusted_multiplicity(run))
-        total += term
-        check_int64(term, total)
-    return total
+    return _run_sum(m, lambda p: moduli_dim_term(adjusted_multiplicity(p)))
 
 
 def _minimal_tjurina_formula(m: MultiplicitySequence) -> int:
     """Closed form for the minimal Tjurina number in the class."""
-    n = m.origin_multiplicity
-    check_int64(n * n)
-    total = moduli_dim_term(n) + _exact_div(n * n + 3 * n - 6, 2, "origin term")
-    check_int64(total)
-    for e, count, kind, _ in m.runs[1:]:  # past the origin: free or satellite
-        if kind is _FREE:
-            num = (e - 1) * (e + 2) + 2 * moduli_dim_term(e + 1)
-            term = count * _exact_div(num, 2, "free point term")
-        else:
-            num = e * (e - 1) + 2 * moduli_dim_term(e + 2)
-            term = count * _exact_div(num, 2, "satellite point term")
-        total += term
-        check_int64(term, total)
-    return total
+    return _run_sum(m, _tjurina_term)
+
+
+def _differential_gap_formula(m: MultiplicitySequence) -> int:
+    """Closed sum for the generic count of differential-value gaps."""
+    return _run_sum(m, _gap_term)
+
+
+def _sequence_values(m: MultiplicitySequence, v: SimpleNamespace) -> SimpleNamespace:
+    """v with every quantity of m that IDENTITIES compares, each computed once."""
+    v.n = m.origin_multiplicity
+    v.mu = milnor_number(m)
+    v.tau_minus = mu_constant_stratum_dim(m)
+    v.q_min = generic_component_dim(m)
+    v.tau_min = _minimal_tjurina_formula(m)
+    v.delta_gen_gaps = _differential_gap_formula(m)
+    return v
 
 
 def minimal_tjurina(m: MultiplicitySequence) -> int:
     """Minimal Tjurina number over the equisingularity class.
 
-    The closed formula must agree with generic_component_dim + milnor
-    - mu_constant_stratum_dim; the two routes share no terms.
+    The closed formula, once the tau_min_double_computation row holds:
+    it agrees with the route through q_min, mu and tau-, sharing no terms.
     """
-    closed = _minimal_tjurina_formula(m)
-    recombined = generic_component_dim(m) + milnor_number(m) - mu_constant_stratum_dim(m)
-    if closed != recombined:
-        raise InternalInvariantViolation(
-            f"minimal Tjurina double computation disagrees: "
-            f"closed {closed} vs recombined {recombined}"
-        )
-    return closed
+    v = _sequence_values(m, SimpleNamespace())
+    check_rows(IDENTITIES, v, ("tau_min_double_computation",))
+    return v.tau_min
 
 
 def tjurina_lower_bound(n: int) -> int:
@@ -186,44 +196,21 @@ def tjurina_lower_bound(n: int) -> int:
         raise DomainError(f"lower bound needs multiplicity >= 2, got {n}")
     check_int64(n * n)
     if n % 2 == 0:
-        return _exact_div(3 * n * n, 4, "even lower bound") - 1
-    return _exact_div(3 * (n * n - 1), 4, "odd lower bound")
+        return exact_div(3 * n * n, 4, "even lower bound") - 1
+    return exact_div(3 * (n * n - 1), 4, "odd lower bound")
 
 
-def _differential_gap_formula(m: MultiplicitySequence) -> int:
-    """Closed sum for the generic count of differential-value gaps."""
-    n = m.origin_multiplicity
-    total = moduli_dim_term(n) + n - 2
-    check_int64(total)
-    for e, count, kind, _ in m.runs[1:]:  # past the origin: free or satellite
-        if kind is _FREE:
-            term = count * ((e - 1) + moduli_dim_term(e + 1))
-        else:
-            term = count * moduli_dim_term(e + 2)
-        total += term
-        check_int64(term, total)
-    return total
+def _rearranged_gaps(v) -> int:
+    """The gap count tau_min - mu/2 - n + 1 of any record with those fields."""
+    return v.tau_min - exact_div(v.mu, 2, "half Milnor") - v.n + 1
 
 
 def differential_gap_count(m: MultiplicitySequence) -> int:
     """Generic number of gaps of the value set of Kahler differentials.
 
-    Computed as tau_min - mu/2 - n + 1 and checked against the closed
-    sum over resolution points; both must agree and be non-negative.
+    The closed sum over points, once report_gap_count accepts it.
     """
-    n = m.origin_multiplicity
-    rearranged = (
-        minimal_tjurina(m) - _exact_div(milnor_number(m), 2, "half Milnor") - n + 1
-    )
-    closed = _differential_gap_formula(m)
-    if rearranged != closed:
-        raise InternalInvariantViolation(
-            f"gap count double computation disagrees: "
-            f"rearranged {rearranged} vs closed {closed}"
-        )
-    if closed < 0:
-        raise NegativeGapCountError(f"gap count {closed} is negative")
-    return closed
+    return report_gap_count(_sequence_values(m, SimpleNamespace()))
 
 
 @dataclass(frozen=True)
@@ -246,18 +233,22 @@ class InvariantReport:
 
 
 def report_gap_count(r: InvariantReport) -> int:
-    """Gap count recomputed from report fields alone.
+    """Gap count of a report, checked against its other fields alone.
 
-    tau_min - mu/2 - n + 1; negative output means the report fields are
-    mutually inconsistent and raises NegativeGapCountError.
+    r.delta_gen_gaps, returned once the rows tau_min_double_computation
+    and gap_count_double_computation hold on r; any record with the
+    report's invariant fields will do.  A negative count by either route
+    means the fields are mutually inconsistent and raises
+    NegativeGapCountError.
     """
-    gaps = r.tau_min - _exact_div(r.mu, 2, "half Milnor") - r.n + 1
-    if gaps < 0:
+    rearranged = _rearranged_gaps(r)
+    if min(r.delta_gen_gaps, rearranged) < 0:
         raise NegativeGapCountError(
-            f"report with mu={r.mu}, tau_min={r.tau_min}, n={r.n} "
-            f"implies {gaps} gaps"
+            f"gap count {r.delta_gen_gaps}, rearranged {rearranged}, is negative"
         )
-    return gaps
+    names = ("tau_min_double_computation", "gap_count_double_computation")
+    check_rows(IDENTITIES, r, names)
+    return r.delta_gen_gaps
 
 
 def dimca_greuel_margin(r: InvariantReport) -> int:
@@ -272,9 +263,10 @@ def dimca_greuel_margin(r: InvariantReport) -> int:
 def _evaluate(c: CharacteristicExponents) -> SimpleNamespace:
     """Every quantity of c that IDENTITIES compares, each computed once.
 
-    Works from the raw pieces, not the self-checking wrappers.  An error
-    raised on the way gets an `identity` attribute: the identity charged
-    with it, which is the one of the step that was running.
+    Works from the raw pieces, not the self-checking wrappers.  An
+    internal invariant violation raised on the way gets an `identity`
+    attribute: the identity charged with it, which is the one of the step
+    that was running.  Any other error is about the input, and propagates.
     """
     v = SimpleNamespace(c=c)
     step = "semigroup_round_trip"
@@ -285,21 +277,14 @@ def _evaluate(c: CharacteristicExponents) -> SimpleNamespace:
         v.seq = _build_sequence(c)  # its sum identities are table rows
         step = "conductor_sieve_agreement"
         v.conductor = _conductor_formula(v.s)
-        v.sieve = _membership_sieve(v.s.gens, v.conductor + c.n)
-        v.gaps = v.conductor - _members_below(v.sieve, v.conductor)
+        _read_sieve(v)
         step = "tau_min_double_computation"
-        v.mu = milnor_number(v.seq)
-        v.tau_minus = mu_constant_stratum_dim(v.seq)
-        v.q_min = generic_component_dim(v.seq)
-        v.tau_min = _minimal_tjurina_formula(v.seq)
-        v.delta_gaps = _differential_gap_formula(v.seq)
-        v.bound = tjurina_lower_bound(c.n)
-        v.free_slack = sum(
-            (e - 1) * count
-            for e, count, kind, _ in v.seq.runs
-            if kind is _FREE
+        _sequence_values(v.seq, v)
+        v.tau_lower_bound = tjurina_lower_bound(c.n)
+        v.free_slack = _run_sum(
+            v.seq, lambda p: p.multiplicity - 1 if p.kind is _FREE else 0
         )
-    except BranchInvariantError as exc:
+    except InternalInvariantViolation as exc:
         exc.identity = step
         raise
     return v
@@ -308,8 +293,8 @@ def _evaluate(c: CharacteristicExponents) -> SimpleNamespace:
 def _lower_bound(v: SimpleNamespace) -> str | None:
     """tau_min >= bound, with equality exactly on the class (n; n + 1)."""
     sharp = v.c.beta == (v.c.n + 1,)
-    if v.tau_min < v.bound or (v.tau_min == v.bound) != sharp:
-        return f"tau_min {v.tau_min} vs bound {v.bound}"
+    if v.tau_min < v.tau_lower_bound or (v.tau_min == v.tau_lower_bound) != sharp:
+        return f"tau_min {v.tau_min} vs bound {v.tau_lower_bound}"
     return None
 
 
@@ -330,63 +315,36 @@ def _zariski_one_pair(v: SimpleNamespace) -> str | None:
 
 
 # (name, check) in reporting order: check returns None when the identity
-# holds on the class, else a one-line detail
+# holds on the class, else a one-line detail.  The semigroup and sequence
+# rows are declared next to what they check; a row run by a public
+# function reads only what that function can supply.
 IDENTITIES: tuple[tuple[str, Callable[[SimpleNamespace], str | None]], ...] = (
     ("semigroup_round_trip",
      lambda v: None if v.back == v.c else f"came back different through {v.s}"),
-    ("gcd_chain_consistency",
-     lambda v: None if v.s.gcd_chain == v.c.gcd_chain
-     else f"{v.s.gcd_chain} vs {v.c.gcd_chain}"),
-    ("conductor_sieve_agreement",
-     lambda v: _conductor_sieve_disagreement(v.s, v.conductor, v.sieve)),
-    ("semigroup_symmetry",
-     lambda v: None if 2 * v.gaps == v.conductor else "gap count is not conductor/2"),
-    ("multiplicity_total_sum",
-     lambda v: None if v.seq.sum_total() == v.c.beta[-1] + v.c.n - 1
-     else f"sum {v.seq.sum_total()}"),
-    ("multiplicity_free_sum",
-     lambda v: None if v.c.n + v.seq.sum_free() == v.c.beta[-1]
-     else f"free sum {v.seq.sum_free()}"),
-    ("multiplicity_satellite_sum",
-     lambda v: None if v.seq.sum_satellite() == v.c.n - 1
-     else f"satellite sum {v.seq.sum_satellite()}"),
+    *SEMIGROUP_IDENTITIES,
+    *SEQUENCE_IDENTITIES,
     ("milnor_vs_conductor",
      lambda v: None if v.mu == v.conductor
      else f"mu {v.mu} vs conductor {v.conductor}"),
     ("tau_min_double_computation",
-     lambda v: None if v.tau_min == v.q_min + v.mu - v.tau_minus
-     else f"closed {v.tau_min} vs recombined {v.q_min + v.mu - v.tau_minus}"),
+     lambda v: None if v.tau_min == (recombined := v.q_min + v.mu - v.tau_minus)
+     else f"closed {v.tau_min} vs recombined {recombined}"),
     ("tau_min_lower_bound", _lower_bound),
     ("dimca_greuel_margin", _dimca_greuel),
     ("gap_count_double_computation",
-     lambda v: None if 0 <= v.delta_gaps == v.tau_min - v.mu // 2 - v.c.n + 1
-     else f"closed {v.delta_gaps}"),
+     lambda v: None if 0 <= v.delta_gen_gaps == _rearranged_gaps(v)
+     else f"closed {v.delta_gen_gaps}"),
     ("zariski_one_pair", _zariski_one_pair),
 )
 
 
-def _failures(v: SimpleNamespace) -> list[tuple[str, str]]:
-    """(name, detail) of every identity that fails on v, in table order."""
-    return [(name, d) for name, check in IDENTITIES if (d := check(v)) is not None]
-
-
 def _checked_report(v: SimpleNamespace) -> InvariantReport:
     """The report of v; raises naming the first identity that fails on it."""
-    failures = _failures(v)
-    if failures:
-        name, detail = failures[0]
-        raise InternalInvariantViolation(f"{v.c}: {name} failed: {detail}")
+    check_rows(IDENTITIES, v, subject=v.c)
     common = math.gcd(v.mu, v.tau_min)
     return InvariantReport(
-        n=v.c.n,
-        mu=v.mu,
-        tau_minus=v.tau_minus,
-        q_min=v.q_min,
-        tau_min=v.tau_min,
-        quotient_num=v.mu // common,
-        quotient_den=v.tau_min // common,
-        tau_lower_bound=v.bound,
-        delta_gen_gaps=v.delta_gaps,
+        v.n, v.mu, v.tau_minus, v.q_min, v.tau_min, v.mu // common, v.tau_min // common,
+        v.tau_lower_bound, v.delta_gen_gaps,
     )
 
 

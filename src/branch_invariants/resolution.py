@@ -12,11 +12,12 @@ maximal prefix (past the origin in stage 1) whose multiplicities sum to
 beta_i - beta_{i-1}; the Euclidean structure makes that prefix sum
 always exactly attainable, and three sum identities pin the result:
 
-    sum of all multiplicities        = beta_g + n - 1
-    n + sum over free points         = beta_g
-    sum over satellite points        = n - 1
+    multiplicity_total_sum       sum of all multiplicities = beta_g + n - 1
+    multiplicity_free_sum        n + sum over free points  = beta_g
+    multiplicity_satellite_sum   sum over satellite points = n - 1
 
-All three are asserted before a sequence is returned.
+These are SEQUENCE_IDENTITIES, the sequence rows of invariants.IDENTITIES;
+multiplicity_sequence runs them before it returns a sequence.
 
 Run-length representation.  A sequence is stored as runs
 (multiplicity, count, kind, stage) of equal consecutive points, one per
@@ -32,10 +33,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from .combinatorics import SIEVE_LIMIT, CharacteristicExponents
-from .errors import DomainError, InternalInvariantViolation
+from .errors import DomainError, InternalInvariantViolation, check_rows
 
 
 class PointKind(enum.Enum):
@@ -172,7 +174,7 @@ def _mark_stage(
 
 
 def _build_sequence(c: CharacteristicExponents) -> MultiplicitySequence:
-    """The stages of c marked and joined, before the sum identities are checked."""
+    """The stages of c marked and joined, before SEQUENCE_IDENTITIES run."""
     chain = c.gcd_chain
     runs: list[Run] = []
     for i in range(1, c.g + 1):
@@ -193,25 +195,29 @@ def _build_sequence(c: CharacteristicExponents) -> MultiplicitySequence:
     return MultiplicitySequence(tuple(runs))
 
 
+# the rows of invariants.IDENTITIES about v.seq, the sequence of class v.c
+SEQUENCE_IDENTITIES = (
+    ("multiplicity_total_sum",
+     lambda v: None if v.seq.sum_total() == v.c.beta[-1] + v.c.n - 1
+     else f"sum {v.seq.sum_total()}"),
+    ("multiplicity_free_sum",
+     lambda v: None if v.c.n + v.seq.sum_free() == v.c.beta[-1]
+     else f"free sum {v.seq.sum_free()}"),
+    ("multiplicity_satellite_sum",
+     lambda v: None if v.seq.sum_satellite() == v.c.n - 1
+     else f"satellite sum {v.seq.sum_satellite()}"),
+)
+
+
 def multiplicity_sequence(c: CharacteristicExponents) -> MultiplicitySequence:
     """Multiplicity sequence of the minimal embedded resolution of c.
 
     Points carry their kind (origin / free / satellite) and the stage
     that produced them; the trailing multiplicity-1 points are included.
+    The rows of SEQUENCE_IDENTITIES are run before it is returned.
     """
     seq = _build_sequence(c)
-    if seq.sum_total() != c.beta[-1] + c.n - 1:
-        raise InternalInvariantViolation(
-            f"{c}: total multiplicity {seq.sum_total()} != beta_g + n - 1"
-        )
-    if c.n + seq.sum_free() != c.beta[-1]:
-        raise InternalInvariantViolation(
-            f"{c}: n + free sum {c.n + seq.sum_free()} != beta_g"
-        )
-    if seq.sum_satellite() != c.n - 1:
-        raise InternalInvariantViolation(
-            f"{c}: satellite sum {seq.sum_satellite()} != n - 1"
-        )
+    check_rows(SEQUENCE_IDENTITIES, SimpleNamespace(c=c, seq=seq), subject=c)
     return seq
 
 

@@ -3,30 +3,28 @@
 Each class goes through the same single evaluation pass and the same
 IDENTITIES table as full_report and the sweep, so a broken formula is
 attributed to a named identity instead of surfacing as a stray
-exception; an error raised inside the pass is charged to the identity
-of the step that raised it.  Two checks exist only here: invariance
-under appended smooth points, and a pointwise scan of the moduli
-dimension term.  The suite reports one result per identity; a result
-carries the first class on which the identity failed.
+exception; an internal invariant violation raised inside the pass is
+charged to the identity of the step that raised it, while an input or
+limit error (such as a sieve above SIEVE_LIMIT) propagates.  Two checks
+exist only here: invariance under appended smooth points, and a
+pointwise scan of the moduli dimension term.  The suite reports one
+result per identity; a result carries the first class on which the
+identity failed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from .combinatorics import CharacteristicExponents
-from .errors import BranchInvariantError
+from .errors import InternalInvariantViolation, failing_rows
 from .enumeration import EnumerationBounds, enumerate_classes
 from .invariants import (
     IDENTITIES,
-    _differential_gap_formula,
     _evaluate,
-    _failures,
-    _minimal_tjurina_formula,
-    generic_component_dim,
-    milnor_number,
+    _sequence_values,
     moduli_dim_term,
-    mu_constant_stratum_dim,
 )
 from .resolution import append_smooth_points
 
@@ -60,21 +58,14 @@ def run_identity_suite(bounds: EnumerationBounds) -> list[CheckResult]:
     for c in enumerate_classes(bounds):
         try:
             v = _evaluate(c)
-        except BranchInvariantError as exc:
+        except InternalInvariantViolation as exc:
             fail(exc.identity, c, str(exc))
             continue
-        for name, detail in _failures(v):
+        for name, detail in failing_rows(IDENTITIES, v):
             fail(name, c, detail)
         for k in (1, 2, 5):
-            ext = append_smooth_points(v.seq, k)
-            same = (
-                milnor_number(ext) == v.mu
-                and mu_constant_stratum_dim(ext) == v.tau_minus
-                and generic_component_dim(ext) == v.q_min
-                and _minimal_tjurina_formula(ext) == v.tau_min
-                and _differential_gap_formula(ext) == v.delta_gaps
-            )
-            if not same:
+            ext = _sequence_values(append_smooth_points(v.seq, k), SimpleNamespace())
+            if any(value != getattr(v, key) for key, value in vars(ext).items()):
                 fail("resolution_invariance", c, f"changed after appending {k} points")
                 break
     names = [name for name, _ in IDENTITIES] + ["resolution_invariance"]

@@ -2,22 +2,38 @@
 
 from __future__ import annotations
 
+import dataclasses
+import multiprocessing
 from types import SimpleNamespace
 
 import pytest
 
+import branch_invariants
+import branch_invariants.combinatorics as comb
 import branch_invariants.invariants as inv
+import branch_invariants.resolution as res
 import branch_invariants.selfcheck as sc
 from branch_invariants import (
     CharacteristicExponents,
+    DomainError,
     EnumerationBounds,
     InternalInvariantViolation,
+    NegativeGapCountError,
+    differential_gap_count,
     evaluate_class,
     full_report,
+    multiplicity_sequence,
+    report_gap_count,
     run_identity_suite,
+    semigroup_from_char_exponents,
 )
 from branch_invariants.cli import main
-from branch_invariants.enumeration import CHECK_NAMES, ONE_PAIR_CHECK, _CHECK_ROWS
+from branch_invariants.enumeration import (
+    CHECK_NAMES,
+    ONE_PAIR_CHECK,
+    THREADS_ENV_VAR,
+    _CHECK_ROWS,
+)
 from branch_invariants.invariants import IDENTITIES
 
 ROW_NAMES = [name for name, _ in IDENTITIES]
@@ -115,3 +131,74 @@ def test_error_in_the_pass_is_charged_to_its_step(monkeypatch, module, attr, ide
     assert [r.name for r in results if not r.passed] == [identity]
     failed = next(r for r in results if not r.passed)
     assert failed.detail == f"first failure at (2; 3): {attr} broke"
+
+
+def test_table_concatenates_the_module_rows():
+    assert IDENTITIES[1:4] == comb.SEMIGROUP_IDENTITIES
+    assert IDENTITIES[4:7] == res.SEQUENCE_IDENTITIES
+
+
+# each self-checking function, the row it runs, and where that row lives
+SELF_CHECKS = [
+    (comb, "SEMIGROUP_IDENTITIES", "conductor_sieve_agreement", "conductor"),
+    (comb, "SEMIGROUP_IDENTITIES", "conductor_sieve_agreement", "gap_count"),
+    (comb, "SEMIGROUP_IDENTITIES", "semigroup_symmetry", "gap_count"),
+    (res, "SEQUENCE_IDENTITIES", "multiplicity_total_sum", "multiplicity_sequence"),
+    (res, "SEQUENCE_IDENTITIES", "multiplicity_free_sum", "multiplicity_sequence"),
+    (res, "SEQUENCE_IDENTITIES", "multiplicity_satellite_sum", "multiplicity_sequence"),
+    (inv, "IDENTITIES", "tau_min_double_computation", "minimal_tjurina"),
+    (inv, "IDENTITIES", "tau_min_double_computation", "differential_gap_count"),
+    (inv, "IDENTITIES", "tau_min_double_computation", "report_gap_count"),
+    (inv, "IDENTITIES", "gap_count_double_computation", "differential_gap_count"),
+    (inv, "IDENTITIES", "gap_count_double_computation", "report_gap_count"),
+]
+
+
+@pytest.mark.parametrize("module, table, row, function", SELF_CHECKS)
+def test_self_checks_run_the_table_rows(monkeypatch, module, table, row, function):
+    c = CharacteristicExponents(4, (6, 7))
+    argument = {
+        "conductor": semigroup_from_char_exponents(c),
+        "gap_count": semigroup_from_char_exponents(c),
+        "multiplicity_sequence": c,
+        "minimal_tjurina": multiplicity_sequence(c),
+        "differential_gap_count": multiplicity_sequence(c),
+        "report_gap_count": full_report(c),
+    }[function]
+    rows = getattr(module, table)
+    assert row in dict(rows)
+    forced = tuple((name, (lambda v: "forced") if name == row else check)
+                   for name, check in rows)
+    monkeypatch.setattr(module, table, forced)
+    with pytest.raises(InternalInvariantViolation, match=f"{row} failed: forced"):
+        getattr(branch_invariants, function)(argument)
+
+
+def test_negative_gap_count_is_its_own_error(monkeypatch):
+    c = CharacteristicExponents(4, (6, 7))
+    with pytest.raises(NegativeGapCountError):
+        report_gap_count(dataclasses.replace(full_report(c), delta_gen_gaps=-1))
+    monkeypatch.setattr(inv, "_differential_gap_formula", lambda m: -1)
+    with pytest.raises(NegativeGapCountError):
+        differential_gap_count(multiplicity_sequence(c))
+
+
+def test_limit_error_is_not_a_failed_class():
+    with pytest.raises(DomainError, match="SIEVE_LIMIT"):
+        evaluate_class(CharacteristicExponents(2, (10000001,)))
+
+
+@pytest.mark.parametrize("threads", [
+    None,
+    # workers see the patched limit only when the pool forks them
+    pytest.param("2", marks=pytest.mark.skipif(
+        multiprocessing.get_all_start_methods()[0] != "fork", reason="pool does not fork")),
+])
+@pytest.mark.parametrize("command", [["sweep", "--format", "csv"], ["check"]])
+def test_limit_error_exits_2(capsys, monkeypatch, command, threads):
+    monkeypatch.setattr(comb, "SIEVE_LIMIT", 40)
+    if threads:
+        monkeypatch.setenv(THREADS_ENV_VAR, threads)
+    assert main([*command, "--max-mult", "4", "--max-beta", "30"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: membership sieve of 41 cells exceeds the limit of 40 (SIEVE_LIMIT)\n"
