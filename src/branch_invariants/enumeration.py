@@ -28,6 +28,8 @@ from .errors import DomainError, InternalInvariantViolation
 from .invariants import InvariantReport, _checked_report, _evaluate
 
 THREADS_ENV_VAR = "BRANCH_INVARIANTS_THREADS"
+# a few shards per worker, so a slow shard leaves the others work to share
+SHARDS_PER_WORKER = 4
 
 # each sweep check and the IDENTITIES row it reports
 _CHECK_ROWS = {
@@ -108,20 +110,30 @@ class SweepRecord:
         return self.error is None and all(self.checks.values())
 
 
+def _evaluate_shard(classes: list[CharacteristicExponents]) -> list[SweepRecord]:
+    """evaluate_class of each class in order, with one stage table for them all."""
+    table: dict = {}
+    records = []
+    for c in classes:
+        names = CHECK_NAMES + (ONE_PAIR_CHECK,) if c.g == 1 else CHECK_NAMES
+        try:
+            v = _evaluate(c, table)
+            r = _checked_report(v)
+        except InternalInvariantViolation as exc:
+            error = f"{type(exc).__name__}: {exc}"
+            records.append(SweepRecord(c, None, None, dict.fromkeys(names, False), error))
+        else:
+            records.append(SweepRecord(c, v.s, r, dict.fromkeys(names, True)))
+    return records
+
+
 def evaluate_class(c: CharacteristicExponents) -> SweepRecord:
     """Report and identity checks for one class, from one evaluation pass.
 
     A ValidationError or OverflowLimitError propagates: it is not a failed
     identity, and the command line maps it to exit 2.
     """
-    names = CHECK_NAMES + (ONE_PAIR_CHECK,) if c.g == 1 else CHECK_NAMES
-    try:
-        v = _evaluate(c)
-        r = _checked_report(v)
-    except InternalInvariantViolation as exc:
-        checks = dict.fromkeys(names, False)
-        return SweepRecord(c, None, None, checks, f"{type(exc).__name__}: {exc}")
-    return SweepRecord(c, v.s, r, dict.fromkeys(names, True))
+    return _evaluate_shard([c])[0]
 
 
 @dataclass(frozen=True)
@@ -153,22 +165,25 @@ def sweep(
     """Evaluate every class in bounds, in enumeration order.
 
     workers defaults to the BRANCH_INVARIANTS_THREADS environment
-    variable (serial when unset).  The pool returns results in input
+    variable (serial when unset).  The pool evaluates SHARDS_PER_WORKER
+    contiguous shards per worker, one stage table each, and joins them in
     order, so worker count never changes the output.
     """
     classes = list(enumerate_classes(bounds))
     count = _worker_count(workers)
     if count > 1 and len(classes) > 1:
+        size = -(-len(classes) // (SHARDS_PER_WORKER * count))
+        shards = [classes[i:i + size] for i in range(0, len(classes), size)]
         with ProcessPoolExecutor(max_workers=count) as pool:
-            records = list(pool.map(evaluate_class, classes, chunksize=64))
+            records = [rec for shard in pool.map(_evaluate_shard, shards) for rec in shard]
     else:
-        records = [evaluate_class(c) for c in classes]
-    max_q = Fraction(0)
-    failed = 0
+        records = _evaluate_shard(classes)
+    # the quotients are reduced, so the largest is found by cross-multiplying
+    num, den, failed = 0, 1, 0
     for rec in records:
         if not rec.passed:
             failed += 1
-        if rec.report is not None:
-            q = Fraction(rec.report.quotient_num, rec.report.quotient_den)
-            max_q = max(max_q, q)
-    return records, SweepSummary(len(records), max_q, failed)
+        r = rec.report
+        if r is not None and r.quotient_num * den > num * r.quotient_den:
+            num, den = r.quotient_num, r.quotient_den
+    return records, SweepSummary(len(records), Fraction(num, den), failed)

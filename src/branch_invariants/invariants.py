@@ -14,11 +14,12 @@ at satellite points):
 with sigma(k) = (k-2)(k-4)/4 for even k and (k-3)^2/4 for odd k.
 Multiplicity-1 free points contribute zero to every sum, so invariants
 are stable under extending a resolution past the minimal one.  Each sum
-is _run_sum of a per-point term: one count * term per run of equal
-points (see resolution), so its cost does not grow with the number of
-points, and each product and running total is checked against the
-64-bit range.  Every term is non-negative, so this raises exactly when
-the point-by-point sum would.
+is _run_sum of a per-point term, one count * term per run (see
+resolution), with each product and total checked to 64 bits; terms are
+non-negative, so it raises exactly when the point-by-point sum would.
+Each sum is also additive over stages: in its tau_min_double_computation
+step the evaluation pass adds up the values of the stage table, filling
+a missing entry by the same routes over the stage's runs.
 
 IDENTITIES is the one ordered table of named per-class identities: the
 semigroup round trip, combinatorics.SEMIGROUP_IDENTITIES,
@@ -52,6 +53,7 @@ from .errors import (
     DomainError,
     InternalInvariantViolation,
     NegativeGapCountError,
+    OverflowLimitError,
     check_int64,
     check_rows,
     exact_div,
@@ -63,6 +65,7 @@ from .resolution import (
     MultiplicitySequence,
     Run,
     _build_sequence,
+    _stage_keys,
     _FREE,
     _ORIGIN,
 )
@@ -164,15 +167,42 @@ def _differential_gap_formula(m: MultiplicitySequence) -> int:
     return _run_sum(m, _gap_term)
 
 
+_SUM_NAMES = ("mu", "tau_minus", "q_min", "tau_min", "delta_gen_gaps", "free_slack")
+
+
+def _run_sums(m) -> tuple[int, ...]:
+    """The per-point sums IDENTITIES compares, named by _SUM_NAMES, over m.runs."""
+    return (milnor_number(m), mu_constant_stratum_dim(m), generic_component_dim(m),
+            _minimal_tjurina_formula(m), _differential_gap_formula(m),
+            _run_sum(m, lambda p: p.multiplicity - 1 if p.kind is _FREE else 0))
+
+
 def _sequence_values(m: MultiplicitySequence, v: SimpleNamespace) -> SimpleNamespace:
     """v with every quantity of m that IDENTITIES compares, each computed once."""
     v.n = m.origin_multiplicity
-    v.mu = milnor_number(m)
-    v.tau_minus = mu_constant_stratum_dim(m)
-    v.q_min = generic_component_dim(m)
-    v.tau_min = _minimal_tjurina_formula(m)
-    v.delta_gen_gaps = _differential_gap_formula(m)
+    vars(v).update(zip(_SUM_NAMES, _run_sums(m)))
     return v
+
+
+def _stage_sums(v: SimpleNamespace, table: dict) -> None:
+    """Set v.n and the _SUM_NAMES of v.c as sums of its stages' values in table.
+
+    Values are kept once complete; a total out of 64 bits raises the error
+    that the sum over v.seq raises.
+    """
+    try:
+        totals = [0] * len(_SUM_NAMES)
+        for key in _stage_keys(v.c):
+            stage = table[key]
+            if stage.values is None:
+                stage.values = _run_sums(stage)
+            totals = [t + s for t, s in zip(totals, stage.values)]
+        check_int64(*totals)
+    except OverflowLimitError:
+        _run_sums(v.seq)
+        raise
+    v.n = v.c.n
+    vars(v).update(zip(_SUM_NAMES, totals))
 
 
 def minimal_tjurina(m: MultiplicitySequence) -> int:
@@ -260,7 +290,7 @@ def dimca_greuel_margin(r: InvariantReport) -> int:
     return 4 * r.tau_min - 3 * r.mu
 
 
-def _evaluate(c: CharacteristicExponents) -> SimpleNamespace:
+def _evaluate(c: CharacteristicExponents, table: dict) -> SimpleNamespace:
     """Every quantity of c that IDENTITIES compares, each computed once.
 
     Works from the raw pieces, not the self-checking wrappers.  An
@@ -274,16 +304,13 @@ def _evaluate(c: CharacteristicExponents) -> SimpleNamespace:
         v.s = semigroup_from_char_exponents(c)
         v.back = _exponents_from_generators(v.s)
         step = "multiplicity_total_sum"
-        v.seq = _build_sequence(c)  # its sum identities are table rows
+        v.seq = _build_sequence(c, table)  # its sum identities are table rows
         step = "conductor_sieve_agreement"
         v.conductor = _conductor_formula(v.s)
         _read_sieve(v)
         step = "tau_min_double_computation"
-        _sequence_values(v.seq, v)
+        _stage_sums(v, table)
         v.tau_lower_bound = tjurina_lower_bound(c.n)
-        v.free_slack = _run_sum(
-            v.seq, lambda p: p.multiplicity - 1 if p.kind is _FREE else 0
-        )
     except InternalInvariantViolation as exc:
         exc.identity = step
         raise
@@ -356,4 +383,4 @@ def full_report(c: CharacteristicExponents) -> InvariantReport:
     gap count, both Tjurina routes, both gap-count routes, the quotient
     margin, the sharp lower bound, and the rest of the table.
     """
-    return _checked_report(_evaluate(c))
+    return _checked_report(_evaluate(c, {}))

@@ -27,6 +27,12 @@ multiplicity, kind and stage are always merged and empty runs dropped,
 so two sequences are equal exactly when their point lists are.  A class
 therefore costs O(g log beta_g) however many points it has; `points`
 expands the runs on demand, up to the same cap as the membership sieve.
+
+Stage table.  Stage i depends only on its key (a, b, i): (beta_1, n, 1),
+then (beta_i - beta_{i-1}, e_{i-1}, i).  _build_sequence reads stages from
+a dict by key and marks only missing ones; invariants adds their values.
+The table lives for one call of its maker: multiplicity_sequence,
+full_report, a sweep or worker shard, or an identity suite.
 """
 
 from __future__ import annotations
@@ -142,20 +148,28 @@ def _euclid_runs(a: int, b: int) -> list[tuple[int, int]]:
     return out
 
 
-def _mark_stage(
-    runs: list[tuple[int, int]], stage: int, free_target: int, skip_origin: bool
-) -> list[Run]:
-    """Split one stage into free prefix and satellite tail.
+def _mark_stage(a: int, b: int, stage: int) -> tuple[Run, ...]:
+    """The runs of the stage with key (a, b, stage), split by kind of point.
 
-    The free points are the maximal prefix (after the origin when
-    skip_origin) summing exactly to free_target; the prefix must land on
-    the target exactly or the generating algorithm is broken.
+    The free points are the maximal prefix (past the origin in stage 1)
+    summing to a - b in stage 1 and to a after it, exactly, or the
+    generating algorithm is broken.
     """
+    runs = _euclid_runs(a, b)
+    if not runs:
+        raise InternalInvariantViolation(f"stage {stage} emitted no valid points")
+    for j in range(1, len(runs)):
+        if runs[j][0] > runs[j - 1][0]:
+            raise InternalInvariantViolation(
+                f"stage {stage} multiplicities increase at run {j}"
+            )
     out: list[Run] = []
-    if skip_origin:
+    free_target = a
+    if stage == 1:
         m, q = runs[0]
         out.append(Run(m, 1, _ORIGIN, stage))
         runs = [(m, q - 1), *runs[1:]]
+        free_target -= b
     left = free_target
     for i, (m, q) in enumerate(runs):
         free = max(0, min(q, left // m))
@@ -170,28 +184,23 @@ def _mark_stage(
         raise InternalInvariantViolation(
             f"stage {stage}: free prefix reaches {free_target - left}, not {free_target}"
         )
-    return out
+    return tuple(out)
 
 
-def _build_sequence(c: CharacteristicExponents) -> MultiplicitySequence:
-    """The stages of c marked and joined, before SEQUENCE_IDENTITIES run."""
-    chain = c.gcd_chain
+def _stage_keys(c: CharacteristicExponents) -> list[tuple[int, int, int]]:
+    """The key of each stage of c, in order."""
+    e, beta = c.gcd_chain, c.beta
+    return [(beta[0], c.n, 1)] + [(beta[i] - beta[i - 1], e[i], i + 1) for i in range(1, c.g)]
+
+
+def _build_sequence(c: CharacteristicExponents, table: dict) -> MultiplicitySequence:
+    """The stages of c from table joined, before SEQUENCE_IDENTITIES run."""
     runs: list[Run] = []
-    for i in range(1, c.g + 1):
-        if i == 1:
-            stage_runs = _euclid_runs(c.beta[0], c.n)
-            free_target = c.beta[0] - c.n
-        else:
-            stage_runs = _euclid_runs(c.beta[i - 1] - c.beta[i - 2], chain[i - 1])
-            free_target = c.beta[i - 1] - c.beta[i - 2]
-        if not stage_runs:
-            raise InternalInvariantViolation(f"stage {i} emitted no valid points")
-        for j in range(1, len(stage_runs)):
-            if stage_runs[j][0] > stage_runs[j - 1][0]:
-                raise InternalInvariantViolation(
-                    f"stage {i} multiplicities increase at run {j}"
-                )
-        runs += _mark_stage(stage_runs, i, free_target, skip_origin=(i == 1))
+    for key in _stage_keys(c):
+        stage = table.get(key)
+        if stage is None:
+            stage = table[key] = SimpleNamespace(runs=_mark_stage(*key), values=None)
+        runs += stage.runs
     return MultiplicitySequence(tuple(runs))
 
 
@@ -216,7 +225,7 @@ def multiplicity_sequence(c: CharacteristicExponents) -> MultiplicitySequence:
     that produced them; the trailing multiplicity-1 points are included.
     The rows of SEQUENCE_IDENTITIES are run before it is returned.
     """
-    seq = _build_sequence(c)
+    seq = _build_sequence(c, {})
     check_rows(SEQUENCE_IDENTITIES, SimpleNamespace(c=c, seq=seq), subject=c)
     return seq
 

@@ -55,9 +55,10 @@ def run_identity_suite(bounds: EnumerationBounds) -> list[CheckResult]:
     def fail(name: str, c: CharacteristicExponents, detail: str) -> None:
         failures.setdefault(name, f"first failure at {c}: {detail}")
 
+    table: dict = {}  # the stages of the box, shared by its classes
     for c in enumerate_classes(bounds):
         try:
-            v = _evaluate(c)
+            v = _evaluate(c, table)
         except InternalInvariantViolation as exc:
             fail(exc.identity, c, str(exc))
             continue

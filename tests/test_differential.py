@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from branch_invariants import (
+    BranchInvariantError,
     CharacteristicExponents,
     OverflowLimitError,
     append_smooth_points,
@@ -29,7 +31,10 @@ from branch_invariants.errors import INT64_MAX
 from branch_invariants.invariants import (
     _differential_gap_formula,
     _minimal_tjurina_formula,
+    _sequence_values,
+    _stage_sums,
 )
+from branch_invariants.resolution import _build_sequence
 from oracles import blowup_multiplicity_sequence, naive_conductor_and_gaps
 
 MAX_MULT = 16  # so g <= 4: each pair at least halves the running gcd
@@ -182,3 +187,45 @@ def test_int64_edge_example_values():
     assert len(m.runs) == 4
     with pytest.raises(OverflowLimitError):
         milnor_number(multiplicity_sequence(CharacteristicExponents(3, (INT64_MAX,))))
+
+
+# one stage table across all drawn examples, so later examples hit stages
+# that earlier ones filled
+SHARED_STAGES: dict = {}
+
+
+def stage_route(c):
+    """The evaluation pass's route to the sequence and its sums, on SHARED_STAGES."""
+    v = SimpleNamespace(c=c)
+    v.seq = _build_sequence(c, SHARED_STAGES)
+    _stage_sums(v, SHARED_STAGES)
+    del v.c
+    return vars(v)
+
+
+def run_sum_route(c):
+    """The same values from the whole sequence, one run sum per quantity."""
+    m = multiplicity_sequence(c)
+    return {"seq": m, **vars(_sequence_values(m, SimpleNamespace()))}
+
+
+def outcome(route, c):
+    try:
+        return route(c)
+    except BranchInvariantError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(classes(max_mult=DEEP_MULT, max_beta=DEEP_BETA))
+def test_stage_sums_match_run_sums(c):
+    assert stage_route(c) == run_sum_route(c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(huge_classes())
+@example(CharacteristicExponents(3, (INT64_MAX,)))
+# mu leaves 64 bits inside stage 2, past where stage 1's total alone reaches
+@example(CharacteristicExponents(10, (576540315836020665, 1634362939506820639)))
+def test_stage_sums_fail_as_run_sums_do(c):
+    assert outcome(stage_route, c) == outcome(run_sum_route, c)
