@@ -6,22 +6,23 @@ Subcommands:
     check        run the named identity suite over a box
 
 Exit codes: 0 success, 1 a check or identity failed, 2 invalid input
-(including a class whose membership sieve would exceed SIEVE_LIMIT),
-3 internal invariant violation (a bug, not bad input).
+(including a class whose membership sieve would exceed SIEVE_LIMIT) or
+output that cannot be written, 3 internal invariant violation (a bug,
+not bad input), 130 interrupted by Ctrl-C.  Each error is one stderr line.
 
 Formats: table (human), json (stable keys, exact integers, quotient as
 num/den plus fixed 6-place decimal string), csv (fixed column order,
 lists joined by ';', no quoting needed).  All output is UTF-8 and ends
 with a newline.  The multiplicity sequence is rendered one run at a time,
 each run's text repeated once per point, so it reads as if written point
-by point.
+by point.  sweep hands a row renderer down, so pool workers render the
+rows and the parent joins them (JSON records spliced in as the points
+of cmd_invariants are).  --out is opened before any work.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 
@@ -113,10 +114,20 @@ def _repeated(m: MultiplicitySequence, render, sep: str) -> str:
     return sep.join(sep.join([render(run)] * run.count) for run in m.runs)
 
 
+def _json_item(obj) -> str:
+    """obj as json.dumps(indent=2) lays it out in a list under a top-level key."""
+    return json.dumps(obj, indent=2).replace("\n", "\n    ")
+
+
 def _json_point(run: Run) -> str:
-    """One point as json.dumps(indent=2) lays it out inside a top-level list."""
     point = {"multiplicity": run.multiplicity, "kind": run.kind.value, "stage": run.stage}
-    return json.dumps(point, indent=2).replace("\n", "\n    ")
+    return _json_item(point)
+
+
+def _spliced(doc: dict, key: str, items: list[str]) -> str:
+    """_json_text(doc) with its empty list doc[key] replaced by items (at least one)."""
+    listed = "[\n    " + ",\n    ".join(items) + "\n  ]"
+    return _json_text(doc).replace(f'"{key}": []', f'"{key}": {listed}', 1)
 
 
 def _table_point(run: Run) -> str:
@@ -128,42 +139,23 @@ def _sequence_compact(m: MultiplicitySequence) -> str:
 
 
 def _record_row(rec: SweepRecord) -> dict[str, str]:
-    c = rec.char_exponents
-    row = {
-        "n": str(c.n),
-        "char_exponents": ";".join(str(v) for v in (c.n, *c.beta)),
-        "semigroup": ";".join(str(v) for v in rec.semigroup.gens)
-        if rec.semigroup
-        else "",
-        "checks_passed": "1" if rec.passed else "0",
-    }
-    r = rec.report
-    if r is None:
-        row.update(
-            {k: "" for k in ("mu", "tau_minus", "q_min", "tau_min", "quotient",
-                             "lower_bound", "delta_gen_gaps")}
-        )
-    else:
-        row.update(
-            {
-                "mu": str(r.mu),
-                "tau_minus": str(r.tau_minus),
-                "q_min": str(r.q_min),
-                "tau_min": str(r.tau_min),
-                "quotient": f"{r.quotient_num}/{r.quotient_den}",
-                "lower_bound": str(r.tau_lower_bound),
-                "delta_gen_gaps": str(r.delta_gen_gaps),
-            }
-        )
-    return row
+    c, r = rec.char_exponents, rec.report
+    values = [""] * 7 if r is None else [
+        str(r.mu), str(r.tau_minus), str(r.q_min), str(r.tau_min),
+        f"{r.quotient_num}/{r.quotient_den}", str(r.tau_lower_bound), str(r.delta_gen_gaps),
+    ]
+    return dict(zip(CSV_COLUMNS, [
+        str(c.n),
+        ";".join(str(v) for v in (c.n, *c.beta)),
+        ";".join(str(v) for v in rec.semigroup.gens) if rec.semigroup else "",
+        *values,
+        "1" if rec.passed else "0",
+    ]))
 
 
-def _csv_text(rows: list[dict[str, str]], columns: list[str]) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    return buf.getvalue()
+def _csv_row(rec: SweepRecord) -> str:
+    """The line csv.DictWriter writes for rec: no field holds a comma or quote."""
+    return ",".join(_record_row(rec).values())
 
 
 def _json_text(obj) -> str:
@@ -206,83 +198,88 @@ def cmd_invariants(args) -> int:
             "multiplicity_sequence": [],  # spliced in below, run by run
             "report": _report_dict(r),
         }
-        points = "[\n    " + _repeated(m, _json_point, ",\n    ") + "\n  ]"
-        text = _json_text(doc).replace(
-            '"multiplicity_sequence": []', f'"multiplicity_sequence": {points}', 1
-        )
-        sys.stdout.write(text)
+        points = _repeated(m, _json_point, ",\n    ")
+        sys.stdout.write(_spliced(doc, "multiplicity_sequence", [points]))
     elif args.format == "csv":
-        row = _record_row(SweepRecord(c, s, r))
-        row["multiplicity_sequence"] = _sequence_compact(m)
-        sys.stdout.write(_csv_text([row], CSV_COLUMNS + ["multiplicity_sequence"]))
+        header = ",".join(CSV_COLUMNS + ["multiplicity_sequence"])
+        row = _csv_row(SweepRecord(c, s, r)) + "," + _sequence_compact(m)
+        sys.stdout.write(f"{header}\n{row}\n")
     else:
         sys.stdout.write(_invariants_table(c, s, m, r))
     return 0
 
 
-def _sweep_table(records: list[SweepRecord]) -> str:
-    header = (
-        f"{'class':<18} {'semigroup':<18} {'mu':>5} {'tau-':>5} {'q':>4} "
-        f"{'tau_min':>7} {'quotient':>10} {'gaps':>5} ok"
+SWEEP_TABLE_HEADER = (
+    f"{'class':<18} {'semigroup':<18} {'mu':>5} {'tau-':>5} {'q':>4} "
+    f"{'tau_min':>7} {'quotient':>10} {'gaps':>5} ok"
+)
+
+
+def _table_row(rec: SweepRecord) -> str:
+    r = rec.report
+    if r is None:
+        return f"{str(rec.char_exponents):<18} {rec.error or 'failed'}"
+    quotient = f"{r.quotient_num}/{r.quotient_den}"
+    return (
+        f"{str(rec.char_exponents):<18} {str(rec.semigroup):<18} {r.mu:>5} "
+        f"{r.tau_minus:>5} {r.q_min:>4} {r.tau_min:>7} {quotient:>10} "
+        f"{r.delta_gen_gaps:>5} {'1' if rec.passed else '0'}"
     )
-    lines = [header]
-    for rec in records:
-        r = rec.report
-        if r is None:
-            lines.append(f"{str(rec.char_exponents):<18} {rec.error or 'failed'}")
-            continue
-        quotient = f"{r.quotient_num}/{r.quotient_den}"
-        lines.append(
-            f"{str(rec.char_exponents):<18} {str(rec.semigroup):<18} {r.mu:>5} "
-            f"{r.tau_minus:>5} {r.q_min:>4} {r.tau_min:>7} {quotient:>10} "
-            f"{r.delta_gen_gaps:>5} {'1' if rec.passed else '0'}"
-        )
-    return "\n".join(lines) + "\n"
+
+
+def _json_record(rec: SweepRecord) -> str:
+    return _json_item({
+        "char_exponents": _class_dict(rec.char_exponents),
+        "semigroup": list(rec.semigroup.gens) if rec.semigroup else None,
+        "report": _report_dict(rec.report) if rec.report else None,
+        "checks": rec.checks,
+        "error": rec.error,
+    })
+
+
+# per --format: the row renderer sweep hands its workers (it pickles), the header
+SWEEP_FORMATS = {
+    "csv": (_csv_row, ",".join(CSV_COLUMNS)),
+    "table": (_table_row, SWEEP_TABLE_HEADER),
+    "json": (_json_record, None),
+}
+
+
+def _sweep_text(fmt: str, bounds: EnumerationBounds, rows: list[str], summary) -> str:
+    header = SWEEP_FORMATS[fmt][1]
+    if header is not None:
+        return "\n".join([header, *rows]) + "\n"
+    q = summary.max_quotient
+    doc = {
+        "bounds": {
+            "max_multiplicity": bounds.max_multiplicity,
+            "max_beta": bounds.max_beta,
+            "max_pairs": bounds.max_pairs,
+        },
+        "records": [],  # spliced in below, record by record
+        "summary": {
+            "classes": summary.classes,
+            "max_quotient": {
+                "num": q.numerator,
+                "den": q.denominator,
+                "decimal": decimal_ratio(q.numerator, q.denominator),
+            },
+            "failed_checks": summary.failed,
+        },
+    }
+    return _spliced(doc, "records", rows)
 
 
 def cmd_sweep(args) -> int:
     bounds = EnumerationBounds(args.max_mult, args.max_beta, args.max_pairs)
-    records, summary = sweep(bounds)
-    if args.format == "json":
-        doc = {
-            "bounds": {
-                "max_multiplicity": bounds.max_multiplicity,
-                "max_beta": bounds.max_beta,
-                "max_pairs": bounds.max_pairs,
-            },
-            "records": [
-                {
-                    "char_exponents": _class_dict(rec.char_exponents),
-                    "semigroup": list(rec.semigroup.gens) if rec.semigroup else None,
-                    "report": _report_dict(rec.report) if rec.report else None,
-                    "checks": rec.checks,
-                    "error": rec.error,
-                }
-                for rec in records
-            ],
-            "summary": {
-                "classes": summary.classes,
-                "max_quotient": {
-                    "num": summary.max_quotient.numerator,
-                    "den": summary.max_quotient.denominator,
-                    "decimal": decimal_ratio(
-                        summary.max_quotient.numerator,
-                        summary.max_quotient.denominator,
-                    ),
-                },
-                "failed_checks": summary.failed,
-            },
-        }
-        text = _json_text(doc)
-    elif args.format == "csv":
-        text = _csv_text([_record_row(rec) for rec in records], CSV_COLUMNS)
-    else:
-        text = _sweep_table(records)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # an unwritable --out fails here, before any class is evaluated
+    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+    try:
+        rows, summary = sweep(bounds, render=SWEEP_FORMATS[args.format][0])
+        out.write(_sweep_text(args.format, bounds, rows, summary))
+    finally:
+        if out is not sys.stdout:
+            out.close()
     print(
         f"classes: {summary.classes}  "
         f"max mu/tau_min: {summary.max_quotient.numerator}/"
@@ -357,12 +354,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, OverflowLimitError) as exc:
+    except (ValidationError, OverflowLimitError, OSError) as exc:  # OSError: on output
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalInvariantViolation as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 3
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

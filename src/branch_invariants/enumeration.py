@@ -1,7 +1,9 @@
 """Enumeration of equisingularity classes and identity sweeps.
 
-Classes are generated in lexicographic order of (n, beta_1, ..., beta_g)
-by extending partial exponent tuples while the gcd chain stays above 1.
+Classes are generated in lexicographic order of (n, beta_1, ..., beta_g):
+each prefix (n, beta_1) with n not dividing beta_1 roots a subtree that
+one recursive _extend grows while the gcd chain stays above 1, and
+enumerate_classes chains the subtrees.
 A sweep evaluates each class in range once and runs every identity of
 invariants.IDENTITIES on it; a class that fails an identity or raises
 InternalInvariantViolation is recorded as failed, with the reason,
@@ -9,8 +11,10 @@ rather than aborting the sweep.  An input or limit error, such as a
 membership sieve above SIEVE_LIMIT, aborts it.
 
 Parallel evaluation is opt-in through the environment variable
-BRANCH_INVARIANTS_THREADS (a positive integer capping worker count);
-the pool hands results back in input order, so output is byte-identical
+BRANCH_INVARIANTS_THREADS (a positive integer capping worker count).
+Workers enumerate, evaluate and render runs of consecutive prefixes
+themselves and send back only rows and counts; the runs are joined in
+prefix order, which is enumeration order, so output is byte-identical
 with and without workers.
 """
 
@@ -18,18 +22,21 @@ from __future__ import annotations
 
 import math
 import os
+import signal
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
+from itertools import chain, repeat
+from typing import Any, Callable, Iterable, Iterator
 
 from .combinatorics import CharacteristicExponents, SemigroupGenerators
 from .errors import DomainError, InternalInvariantViolation
 from .invariants import InvariantReport, _checked_report, _evaluate
 
 THREADS_ENV_VAR = "BRANCH_INVARIANTS_THREADS"
-# a few shards per worker, so a slow shard leaves the others work to share
-SHARDS_PER_WORKER = 4
+# prefixes per pool task: a worker's table outlives its tasks, so small
+# tasks cost only their round trips, and the workers finish together
+TASK_PREFIXES = 8
 
 # each sweep check and the IDENTITIES row it reports
 _CHECK_ROWS = {
@@ -71,23 +78,34 @@ class EnumerationBounds:
             raise DomainError(f"max pairs must be positive, got {self.max_pairs}")
 
 
+def _prefixes(bounds: EnumerationBounds) -> Iterator[tuple[int, int]]:
+    """Every (n, beta_1) that roots a subtree of classes, in lexicographic order."""
+    for n in range(2, bounds.max_multiplicity + 1):
+        for b in range(n + 1, bounds.max_beta + 1):
+            if b % n:
+                yield n, b
+
+
+def _extend(
+    bounds: EnumerationBounds, n: int, beta: tuple[int, ...], e: int
+) -> Iterator[CharacteristicExponents]:
+    """The classes of multiplicity n whose exponents begin with beta (gcd chain at e)."""
+    if e == 1:
+        yield CharacteristicExponents(n, beta)
+    elif bounds.max_pairs is None or len(beta) < bounds.max_pairs:
+        for b in range(beta[-1] + 1, bounds.max_beta + 1):
+            if b % e:
+                yield from _extend(bounds, n, beta + (b,), math.gcd(e, b))
+
+
+def _subtrees(bounds: EnumerationBounds, prefixes: Iterable) -> Iterator:
+    """The classes under each (n, beta_1) of prefixes, prefix by prefix."""
+    return chain.from_iterable(_extend(bounds, n, (b,), math.gcd(n, b)) for n, b in prefixes)
+
+
 def enumerate_classes(bounds: EnumerationBounds) -> Iterator[CharacteristicExponents]:
     """All admissible classes inside bounds, in lexicographic order."""
-
-    def extend(n: int, prefix: tuple[int, ...], e: int):
-        start = (prefix[-1] if prefix else n) + 1
-        for b in range(start, bounds.max_beta + 1):
-            if b % e == 0:
-                continue
-            e_next = math.gcd(e, b)
-            grown = prefix + (b,)
-            if e_next == 1:
-                yield CharacteristicExponents(n, grown)
-            elif bounds.max_pairs is None or len(grown) < bounds.max_pairs:
-                yield from extend(n, grown, e_next)
-
-    for n in range(2, bounds.max_multiplicity + 1):
-        yield from extend(n, (), n)
+    return _subtrees(bounds, _prefixes(bounds))
 
 
 @dataclass(frozen=True)
@@ -110,21 +128,15 @@ class SweepRecord:
         return self.error is None and all(self.checks.values())
 
 
-def _evaluate_shard(classes: list[CharacteristicExponents]) -> list[SweepRecord]:
-    """evaluate_class of each class in order, with one stage table for them all."""
-    table: dict = {}
-    records = []
-    for c in classes:
-        names = CHECK_NAMES + (ONE_PAIR_CHECK,) if c.g == 1 else CHECK_NAMES
-        try:
-            v = _evaluate(c, table)
-            r = _checked_report(v)
-        except InternalInvariantViolation as exc:
-            error = f"{type(exc).__name__}: {exc}"
-            records.append(SweepRecord(c, None, None, dict.fromkeys(names, False), error))
-        else:
-            records.append(SweepRecord(c, v.s, r, dict.fromkeys(names, True)))
-    return records
+def _evaluate_record(c: CharacteristicExponents, table: dict) -> SweepRecord:
+    names = CHECK_NAMES + (ONE_PAIR_CHECK,) if c.g == 1 else CHECK_NAMES
+    try:
+        v = _evaluate(c, table)
+        r = _checked_report(v)
+    except InternalInvariantViolation as exc:
+        error = f"{type(exc).__name__}: {exc}"
+        return SweepRecord(c, None, None, dict.fromkeys(names, False), error)
+    return SweepRecord(c, v.s, r, dict.fromkeys(names, True))
 
 
 def evaluate_class(c: CharacteristicExponents) -> SweepRecord:
@@ -133,7 +145,7 @@ def evaluate_class(c: CharacteristicExponents) -> SweepRecord:
     A ValidationError or OverflowLimitError propagates: it is not a failed
     identity, and the command line maps it to exit 2.
     """
-    return _evaluate_shard([c])[0]
+    return _evaluate_record(c, {})
 
 
 @dataclass(frozen=True)
@@ -159,31 +171,59 @@ def _worker_count(requested: int | None = None) -> int:
     return min(requested, os.cpu_count() or 1)
 
 
-def sweep(
-    bounds: EnumerationBounds, workers: int | None = None
-) -> tuple[list[SweepRecord], SweepSummary]:
-    """Evaluate every class in bounds, in enumeration order.
+_worker_table: dict = {}  # a pool worker's stage table, for the pool's life
 
-    workers defaults to the BRANCH_INVARIANTS_THREADS environment
-    variable (serial when unset).  The pool evaluates SHARDS_PER_WORKER
-    contiguous shards per worker, one stage table each, and joins them in
-    order, so worker count never changes the output.
+
+def _start_worker() -> None:
+    """Pool initializer: Ctrl-C is the parent's to handle, and the table starts empty."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _worker_table.clear()
+
+
+def _sweep_run(bounds, prefixes, render, table: dict = _worker_table) -> tuple:
+    """Rows, failed count and largest quotient of the classes under prefixes.
+
+    Quotients are reduced, so cross-multiplying compares them.  Pool tasks
+    run on the default table, the worker's.
     """
-    classes = list(enumerate_classes(bounds))
-    count = _worker_count(workers)
-    if count > 1 and len(classes) > 1:
-        size = -(-len(classes) // (SHARDS_PER_WORKER * count))
-        shards = [classes[i:i + size] for i in range(0, len(classes), size)]
-        with ProcessPoolExecutor(max_workers=count) as pool:
-            records = [rec for shard in pool.map(_evaluate_shard, shards) for rec in shard]
-    else:
-        records = _evaluate_shard(classes)
-    # the quotients are reduced, so the largest is found by cross-multiplying
-    num, den, failed = 0, 1, 0
-    for rec in records:
+    rows, failed, num, den = [], 0, 0, 1
+    for c in _subtrees(bounds, prefixes):
+        rec = _evaluate_record(c, table)
         if not rec.passed:
             failed += 1
         r = rec.report
         if r is not None and r.quotient_num * den > num * r.quotient_den:
             num, den = r.quotient_num, r.quotient_den
-    return records, SweepSummary(len(records), Fraction(num, den), failed)
+        rows.append(rec if render is None else render(rec))
+    return rows, failed, Fraction(num, den)
+
+
+def sweep(
+    bounds: EnumerationBounds,
+    workers: int | None = None,
+    render: Callable[[SweepRecord], Any] | None = None,
+) -> tuple[list, SweepSummary]:
+    """render(record) for each class in bounds, in enumeration order, and the summary.
+
+    render defaults to returning the record.  workers defaults to the
+    BRANCH_INVARIANTS_THREADS environment variable (serial when unset).
+    A serial sweep keeps one stage table; a pool worker keeps one for the
+    pool's life and renders the rows of each run of TASK_PREFIXES prefixes
+    it is given.  The runs are joined in order, so worker count never
+    changes the output.  An error or Ctrl-C cancels the tasks not started.
+    """
+    count = _worker_count(workers)
+    prefixes = list(_prefixes(bounds))
+    if count > 1 and len(prefixes) > 1:
+        size = TASK_PREFIXES
+        tasks = [prefixes[i:i + size] for i in range(0, len(prefixes), size)]
+        pool = ProcessPoolExecutor(count, initializer=_start_worker)
+        try:
+            runs = list(pool.map(_sweep_run, repeat(bounds), tasks, repeat(render)))
+        finally:
+            pool.shutdown(cancel_futures=True)
+    else:
+        runs = [_sweep_run(bounds, prefixes, render, {})]
+    rows = [row for run_rows, _, _ in runs for row in run_rows]
+    summary = SweepSummary(len(rows), max(q for *_, q in runs), sum(f for _, f, _ in runs))
+    return rows, summary
