@@ -125,9 +125,9 @@ def _json_point(run: Run) -> str:
 
 
 def _spliced(doc: dict, key: str, items: list[str]) -> str:
-    """_json_text(doc) with its empty list doc[key] replaced by items (at least one)."""
-    listed = "[\n    " + ",\n    ".join(items) + "\n  ]"
-    return _json_text(doc).replace(f'"{key}": []', f'"{key}": {listed}', 1)
+    """_json_text(doc), its empty list doc[key] filled in one join with items (at least one)."""
+    head, tail = _json_text(doc).split(f'"{key}": []', 1)
+    return "".join([head, f'"{key}": [\n    ', ",\n    ".join(items), "\n  ]", tail])
 
 
 def _table_point(run: Run) -> str:
