@@ -146,7 +146,7 @@ def test_worker_tables_live_for_one_sweep(monkeypatch):
 def test_unwritable_out_exits_2_before_any_work(capsys, monkeypatch, tmp_path):
     evaluated = []
     real = en._evaluate
-    monkeypatch.setattr(en, "_evaluate", lambda c, table: evaluated.append(c) or real(c, table))
+    monkeypatch.setattr(en, "_evaluate", lambda c, t: evaluated.append(c) or real(c, t))
     target = tmp_path / "missing" / "x.csv"
     code = main(["sweep", "--max-mult", "10", "--max-beta", "60", "--format", "csv",
                  "--out", str(target)])
@@ -186,8 +186,8 @@ def test_ctrl_c_exits_130_with_one_line(capsys, monkeypatch, command, module, th
 
 @pytest.mark.skipif(sys.platform == "win32", reason="no SIGINT to send")
 def test_sigint_stops_a_parallel_sweep():
-    env = {**os.environ, THREADS_ENV_VAR: "2",
-           "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, THREADS_ENV_VAR: "2", "PYTHONPATH": path}
     proc = subprocess.Popen(
         [sys.executable, "-m", "branch_invariants.cli", "sweep", "--max-mult", "12",
          "--max-beta", "100", "--format", "csv"],
