@@ -15,14 +15,19 @@ num/den plus fixed 6-place decimal string), csv (fixed column order,
 lists joined by ';', no quoting needed).  All output is UTF-8 and ends
 with a newline.  The multiplicity sequence is rendered one run at a time,
 each run's text repeated once per point, so it reads as if written point
-by point.  sweep hands a row renderer down, so pool workers render the
+by point; a point's JSON item comes from one template, byte-equal to
+json.dumps.  sweep hands a row renderer down, so pool workers render the
 rows and the parent joins them (JSON records spliced in as the points
-of cmd_invariants are).  --out is opened before any work.
+of cmd_invariants are).  --out is opened before any work, but truncated
+only once the whole text is ready, so a failed sweep leaves it as it was.
+Error messages quote at most errors.ECHO_LIMIT characters of an input.
+main builds its argument parser once per process, on its first call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -33,7 +38,7 @@ from .combinatorics import (
     semigroup_from_char_exponents,
 )
 from .enumeration import EnumerationBounds, SweepRecord, sweep
-from .errors import InternalInvariantViolation, OverflowLimitError, ValidationError
+from .errors import InternalInvariantViolation, OverflowLimitError, ValidationError, echo
 from .invariants import InvariantReport, decimal_ratio, full_report
 from .resolution import MultiplicitySequence, Run, multiplicity_sequence
 from .selfcheck import run_identity_suite
@@ -60,7 +65,7 @@ def _parse_int_list(text: str, what: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",")]
     except ValueError:
-        raise ValidationError(f"{what} must be comma-separated integers, got {text!r}")
+        raise ValidationError(f"{what} must be comma-separated integers, got {echo(text)}")
 
 
 def _class_from_args(args) -> CharacteristicExponents:
@@ -68,19 +73,19 @@ def _class_from_args(args) -> CharacteristicExponents:
         head, sep, tail = args.char_exponents.partition(":")
         if not sep:
             raise ValidationError(
-                f"expected n:b1,b2,... for --char-exponents, got {args.char_exponents!r}"
+                f"expected n:b1,b2,... for --char-exponents, got {echo(args.char_exponents)}"
             )
         try:
             n = int(head)
         except ValueError:
-            raise ValidationError(f"multiplicity {head!r} is not an integer")
+            raise ValidationError(f"multiplicity {echo(head)} is not an integer")
         return CharacteristicExponents(n, tuple(_parse_int_list(tail, "exponents")))
     if args.semigroup is not None:
         gens = _parse_int_list(args.semigroup, "generators")
         return char_exponents_from_semigroup(SemigroupGenerators(tuple(gens)))
     pair = _parse_int_list(args.pair, "pair")
     if len(pair) != 2:
-        raise ValidationError(f"--pair needs exactly two integers, got {args.pair!r}")
+        raise ValidationError(f"--pair needs exactly two integers, got {echo(args.pair)}")
     return CharacteristicExponents(pair[0], (pair[1],))
 
 
@@ -120,8 +125,9 @@ def _json_item(obj) -> str:
 
 
 def _json_point(run: Run) -> str:
-    point = {"multiplicity": run.multiplicity, "kind": run.kind.value, "stage": run.stage}
-    return _json_item(point)
+    """_json_item of the point's dict: kinds are ASCII words and ints need no escaping."""
+    return (f'{{\n      "multiplicity": {run.multiplicity},\n      "kind": "{run.kind.value}",'
+            f'\n      "stage": {run.stage}\n    }}')
 
 
 def _spliced(doc: dict, key: str, items: list[str]) -> str:
@@ -272,14 +278,17 @@ def _sweep_text(fmt: str, bounds: EnumerationBounds, rows: list[str], summary) -
 
 def cmd_sweep(args) -> int:
     bounds = EnumerationBounds(args.max_mult, args.max_beta, args.max_pairs)
-    # an unwritable --out fails here, before any class is evaluated
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
-        rows, summary = sweep(bounds, render=SWEEP_FORMATS[args.format][0])
-        out.write(_sweep_text(args.format, bounds, rows, summary))
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    if args.out:
+        # an unwritable --out fails here, before any class is evaluated; the
+        # file keeps its contents until the text is ready
+        open(args.out, "a", encoding="utf-8").close()
+    rows, summary = sweep(bounds, render=SWEEP_FORMATS[args.format][0])
+    text = _sweep_text(args.format, bounds, rows, summary)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as out:
+            out.write(text)
+    else:
+        sys.stdout.write(text)
     print(
         f"classes: {summary.classes}  "
         f"max mu/tau_min: {summary.max_quotient.numerator}/"
@@ -349,9 +358,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built by the first main() call, not at import; parse_args leaves it as it was
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValidationError, OverflowLimitError, OSError) as exc:  # OSError: on output

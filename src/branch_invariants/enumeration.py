@@ -30,7 +30,7 @@ from itertools import chain, repeat
 from typing import Any, Callable, Iterable, Iterator
 
 from .combinatorics import CharacteristicExponents, SemigroupGenerators
-from .errors import DomainError, InternalInvariantViolation
+from .errors import DomainError, InternalInvariantViolation, echo
 from .invariants import InvariantReport, _checked_report, _evaluate
 
 THREADS_ENV_VAR = "BRANCH_INVARIANTS_THREADS"
@@ -164,7 +164,7 @@ def _worker_count(requested: int | None = None) -> int:
             requested = int(raw)
         except ValueError:
             raise DomainError(
-                f"{THREADS_ENV_VAR} must be a positive integer, got {raw!r}"
+                f"{THREADS_ENV_VAR} must be a positive integer, got {echo(raw)}"
             ) from None
     if requested < 1:
         raise DomainError(f"{THREADS_ENV_VAR} must be positive, got {requested}")

@@ -17,6 +17,9 @@ from typing import Any, Callable, Iterable
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
 
+# an error message quotes at most this many characters of an input
+ECHO_LIMIT = 40
+
 
 class BranchInvariantError(Exception):
     """Base class for every error raised by this package."""
@@ -67,6 +70,13 @@ def check_int64(*values: int) -> None:
     for v in values:
         if v < INT64_MIN or v > INT64_MAX:
             raise OverflowLimitError(f"value {v} exceeds the signed 64-bit range")
+
+
+def echo(text: str) -> str:
+    """repr(text) for an error message; a longer text gives its head and its length."""
+    if len(text) <= ECHO_LIMIT:
+        return repr(text)
+    return f"{text[:ECHO_LIMIT]!r}... ({len(text)} characters)"
 
 
 def exact_div(a: int, b: int, what: str) -> int:
