@@ -224,7 +224,7 @@ SWEEP_TABLE_HEADER = (
 def _table_row(rec: SweepRecord) -> str:
     r = rec.report
     if r is None:
-        return f"{str(rec.char_exponents):<18} {rec.error or 'failed'}"
+        return f"{str(rec.char_exponents):<18} {rec.error}"
     quotient = f"{r.quotient_num}/{r.quotient_den}"
     return (
         f"{str(rec.char_exponents):<18} {str(rec.semigroup):<18} {r.mu:>5} "

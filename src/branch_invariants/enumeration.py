@@ -24,7 +24,7 @@ import math
 import os
 import signal
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
 from typing import Any, Callable, Iterable, Iterator
@@ -110,33 +110,33 @@ def enumerate_classes(bounds: EnumerationBounds) -> Iterator[CharacteristicExpon
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """One class of a sweep: its encodings, report, and check outcomes.
+    """One class of a sweep: its encodings, report, and outcome (error, or None).
 
-    checks maps check names to booleans, all True when every IDENTITIES
-    row held.  Otherwise report is None, every check False, and error
-    holds the message naming the first failing identity.
+    A failed class has no report, and error names its first failing identity.
+    checks is derived: each check name (one more when g = 1) maps to passed.
     """
 
     char_exponents: CharacteristicExponents
     semigroup: SemigroupGenerators | None
     report: InvariantReport | None
-    checks: dict[str, bool] = field(default_factory=dict)
     error: str | None = None
 
     @property
     def passed(self) -> bool:
-        return self.error is None and all(self.checks.values())
+        return self.error is None
+
+    @property
+    def checks(self) -> dict[str, bool]:
+        names = CHECK_NAMES + (ONE_PAIR_CHECK,) if self.char_exponents.g == 1 else CHECK_NAMES
+        return dict.fromkeys(names, self.passed)
 
 
 def _evaluate_record(c: CharacteristicExponents, table: dict) -> SweepRecord:
-    names = CHECK_NAMES + (ONE_PAIR_CHECK,) if c.g == 1 else CHECK_NAMES
     try:
         v = _evaluate(c, table)
-        r = _checked_report(v)
+        return SweepRecord(c, v.s, _checked_report(v))
     except InternalInvariantViolation as exc:
-        error = f"{type(exc).__name__}: {exc}"
-        return SweepRecord(c, None, None, dict.fromkeys(names, False), error)
-    return SweepRecord(c, v.s, r, dict.fromkeys(names, True))
+        return SweepRecord(c, None, None, f"{type(exc).__name__}: {exc}")
 
 
 def evaluate_class(c: CharacteristicExponents) -> SweepRecord:

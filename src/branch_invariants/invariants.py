@@ -71,12 +71,12 @@ from .resolution import (
 )
 
 
-def decimal_ratio(num: int, den: int, places: int = 6) -> str:
-    """num/den rendered to a fixed number of places, ties to even."""
+def decimal_ratio(num: int, den: int) -> str:
+    """num/den rendered to exactly 6 decimal places, ties to even."""
     with localcontext() as ctx:
         ctx.prec = 50
         q = Decimal(num) / Decimal(den)
-        return str(q.quantize(Decimal(1).scaleb(-places), rounding=ROUND_HALF_EVEN))
+        return str(q.quantize(Decimal("1e-6"), rounding=ROUND_HALF_EVEN))
 
 
 def moduli_dim_term(k: int) -> int:
@@ -257,9 +257,9 @@ class InvariantReport:
     tau_lower_bound: int
     delta_gen_gaps: int
 
-    def quotient_decimal(self, places: int = 6) -> str:
-        """mu/tau_min rounded half-even to the given number of places."""
-        return decimal_ratio(self.quotient_num, self.quotient_den, places)
+    def quotient_decimal(self) -> str:
+        """mu/tau_min rounded half-even to exactly 6 decimal places."""
+        return decimal_ratio(self.quotient_num, self.quotient_den)
 
 
 def report_gap_count(r: InvariantReport) -> int:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from branch_invariants import (
@@ -16,9 +18,11 @@ from branch_invariants.enumeration import (
     CHECK_NAMES,
     ONE_PAIR_CHECK,
     THREADS_ENV_VAR,
+    SweepRecord,
     _worker_count,
 )
 from oracles import brute_force_classes
+from test_stages import break_sigma
 
 
 def classes(max_mult, max_beta, max_pairs=None):
@@ -123,3 +127,35 @@ class TestSweep:
             _worker_count()
         monkeypatch.setenv(THREADS_ENV_VAR, "3")
         assert 1 <= _worker_count() <= 3
+
+
+# the checks dict a record carried as a field, in its order
+TWO_PAIR_CHECKS = ["satellite_sum", "enriques_free", "enriques_total", "dimca_greuel",
+                   "lower_bound", "peraire"]
+ONE_PAIR_CHECKS = TWO_PAIR_CHECKS + ["zariski_one_pair"]
+
+
+class TestOneOutcome:
+    """error is a record's only outcome; passed and checks derive from it."""
+
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(SweepRecord)] == [
+            "char_exponents", "semigroup", "report", "error"
+        ]
+
+    @pytest.mark.parametrize("c, names", [
+        (CharacteristicExponents(2, (3,)), ONE_PAIR_CHECKS),
+        (CharacteristicExponents(4, (6, 7)), TWO_PAIR_CHECKS),
+    ])
+    @pytest.mark.parametrize("broken", [False, True])
+    def test_checks_equal_the_stored_dict(self, monkeypatch, c, names, broken):
+        if broken:
+            break_sigma(monkeypatch)
+        rec = evaluate_class(c)
+        assert rec.passed is (rec.error is None) is (not broken)
+        assert list(rec.checks.items()) == [(name, not broken) for name in names]
+        assert (rec.report is None) is broken
+
+    def test_records_are_hashable(self):
+        records, _ = sweep(EnumerationBounds(4, 12))
+        assert len(set(records)) == len(records)
