@@ -20,7 +20,8 @@ json.dumps.  sweep hands a row renderer down, so pool workers render the
 rows and the parent joins them (JSON records spliced in as the points
 of cmd_invariants are).  --out is opened before any work, but truncated
 only once the whole text is ready, so a failed sweep leaves it as it was.
-Error messages quote at most errors.ECHO_LIMIT characters of an input.
+Error messages quote at most errors.ECHO_LIMIT characters of an input;
+argparse's errors are its one "prog: error: message" line, without usage.
 main builds its argument parser once per process, on its first call.
 """
 
@@ -29,6 +30,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 
 from .combinatorics import (
@@ -38,7 +40,14 @@ from .combinatorics import (
     semigroup_from_char_exponents,
 )
 from .enumeration import EnumerationBounds, SweepRecord, sweep
-from .errors import InternalInvariantViolation, OverflowLimitError, ValidationError, echo
+from .errors import (
+    ECHO_LIMIT,
+    InternalInvariantViolation,
+    OverflowLimitError,
+    ValidationError,
+    echo,
+    echo_plain,
+)
 from .invariants import InvariantReport, decimal_ratio, full_report
 from .resolution import MultiplicitySequence, Run, multiplicity_sequence
 from .selfcheck import run_identity_suite
@@ -316,8 +325,35 @@ def cmd_check(args) -> int:
     return 0
 
 
+# argv text in an argparse message: a value as %r quotes it, or a run of other text
+_ARGV_TEXT = re.compile(r"""'[^']*'|"[^"]*"|\S+""")
+
+
+def _cut_argv_text(match: re.Match) -> str:
+    text = match[0]
+    if len(text) > ECHO_LIMIT and text[0] in "'\"" and text.endswith(text[0]):
+        return echo(text[1:-1])  # quoted by repr, as echo quotes it
+    return echo_plain(text)
+
+
+class _OneLineParser(argparse.ArgumentParser):
+    """argparse's parser, its errors one stderr line: no usage, long argv text cut by echo.
+
+    Subparsers are made of the same class, so they inherit both.
+    """
+
+    def parse_args(self, args=None, namespace=None):
+        args, extras = self.parse_known_args(args, namespace)
+        if extras:  # argparse's own message, the extras cut as one text
+            self.error(f"unrecognized arguments: {echo_plain(' '.join(extras))}")
+        return args
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {_ARGV_TEXT.sub(_cut_argv_text, message)}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _OneLineParser(
         prog="branch-invariants",
         description="Topological invariants of irreducible plane curve singularities",
     )

@@ -34,6 +34,7 @@ from .errors import (
     NotSingularError,
     check_int64,
     check_rows,
+    echo_plain,
     exact_div,
 )
 
@@ -138,7 +139,7 @@ def _validate_generators(gens: tuple[int, ...]) -> tuple[int, ...]:
     check_int64(*gens)
     if len(gens) < 2 or gens[0] < 2:
         raise NotSingularError(
-            f"generators {list(gens)} describe a smooth branch; "
+            f"generators {echo_plain(list(gens))} describe a smooth branch; "
             f"need v_0 >= 2 and at least two generators"
         )
     n = gens[0]

@@ -30,7 +30,7 @@ from itertools import chain, repeat
 from typing import Any, Callable, Iterable, Iterator
 
 from .combinatorics import CharacteristicExponents, SemigroupGenerators
-from .errors import DomainError, InternalInvariantViolation, echo
+from .errors import DomainError, InternalInvariantViolation, check_int64, echo, echo_plain
 from .invariants import InvariantReport, _checked_report, _evaluate
 
 THREADS_ENV_VAR = "BRANCH_INVARIANTS_THREADS"
@@ -57,7 +57,8 @@ class EnumerationBounds:
 
     max_multiplicity bounds n, max_beta bounds the largest exponent, and
     max_pairs (None for unbounded) bounds the number of characteristic
-    pairs.
+    pairs.  Each must fit in signed 64 bits (OverflowLimitError); a box
+    inside that range is not bounded further, and may take long to sweep.
     """
 
     max_multiplicity: int
@@ -65,6 +66,7 @@ class EnumerationBounds:
     max_pairs: int | None = None
 
     def __post_init__(self) -> None:
+        check_int64(self.max_multiplicity, self.max_beta, self.max_pairs or 0)
         if self.max_multiplicity < 2:
             raise DomainError(
                 f"max multiplicity must be at least 2, got {self.max_multiplicity}"
@@ -167,7 +169,7 @@ def _worker_count(requested: int | None = None) -> int:
                 f"{THREADS_ENV_VAR} must be a positive integer, got {echo(raw)}"
             ) from None
     if requested < 1:
-        raise DomainError(f"{THREADS_ENV_VAR} must be positive, got {requested}")
+        raise DomainError(f"{THREADS_ENV_VAR} must be positive, got {echo_plain(requested)}")
     return min(requested, os.cpu_count() or 1)
 
 

@@ -69,7 +69,7 @@ def check_int64(*values: int) -> None:
     """Raise OverflowLimitError unless every value fits in signed 64 bits."""
     for v in values:
         if v < INT64_MIN or v > INT64_MAX:
-            raise OverflowLimitError(f"value {v} exceeds the signed 64-bit range")
+            raise OverflowLimitError(f"value {echo_plain(v)} exceeds the signed 64-bit range")
 
 
 def echo(text: str) -> str:
@@ -77,6 +77,12 @@ def echo(text: str) -> str:
     if len(text) <= ECHO_LIMIT:
         return repr(text)
     return f"{text[:ECHO_LIMIT]!r}... ({len(text)} characters)"
+
+
+def echo_plain(value: object) -> str:
+    """str(value), unquoted, for an error message; a longer one is cut by echo."""
+    text = str(value)
+    return text if len(text) <= ECHO_LIMIT else echo(text)
 
 
 def exact_div(a: int, b: int, what: str) -> int:
