@@ -325,8 +325,9 @@ def cmd_check(args) -> int:
     return 0
 
 
-# argv text in an argparse message: a value as %r quotes it, or a run of other text
-_ARGV_TEXT = re.compile(r"""'[^']*'|"[^"]*"|\S+""")
+# argv text in an argparse message: a value as %r quotes it, or a run of other
+# text up to a space (a newline in it is argv text, escaped by echo_plain)
+_ARGV_TEXT = re.compile(r"""'[^']*'|"[^"]*"|[^ ]+""")
 
 
 def _cut_argv_text(match: re.Match) -> str:

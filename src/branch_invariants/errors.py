@@ -80,9 +80,9 @@ def echo(text: str) -> str:
 
 
 def echo_plain(value: object) -> str:
-    """str(value), unquoted, for an error message; a longer one is cut by echo."""
+    """str(value) unquoted for an error message, unless long or unprintable: then echo."""
     text = str(value)
-    return text if len(text) <= ECHO_LIMIT else echo(text)
+    return text if len(text) <= ECHO_LIMIT and text.isprintable() else echo(text)
 
 
 def exact_div(a: int, b: int, what: str) -> int:

@@ -144,6 +144,17 @@ class TestOneLineArgparseErrors:
         assert err.startswith("branch-invariants") and ": error: " in err
         assert "characters)" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--max-mult", "3", "--max-beta", "9", "a\nb"],
+        ["sweep", "--max=a\nb"],
+        ["sweep", "--max=x 'a\nb'"],
+    ])
+    def test_newline_in_argv_text_is_escaped(self, argv):
+        code, out, err = call(argv)
+        assert code == ("SystemExit", 2) and out == ""
+        assert_one_short_line(err)
+        assert "a\\nb" in err
+
     @pytest.mark.parametrize("argv, message", [
         (["sweep", "--max-mult", "x", "--max-beta", "3"],
          "branch-invariants sweep: error: argument --max-mult: invalid int value: 'x'"),
@@ -173,7 +184,7 @@ values = st.one_of(
     st.sampled_from([str(v) for v in EDGES]),
     st.integers(-3, 40).map(str),
     st.sampled_from(["+7", "-0", "1_0", "2_1", "1_000", "_1", "1_", "1__0", "", " 5", "x",
-                     NINES, "-" + NINES, HUGE]),
+                     "4\n", "a\nb", NINES, "-" + NINES, HUGE]),
 )
 value_lists = st.builds(
     lambda items, trailing: ",".join(items) + ("," if trailing else ""),
@@ -201,7 +212,8 @@ pair_limits = st.one_of(st.just([]), st.one_of(st.integers(0, 3).map(str), outsi
     lambda g: ["--max-pairs", g]))
 argvs = st.one_of(
     st.builds(lambda flags, fmt: ["invariants", *flags, *fmt], class_flags, formats),
-    st.builds(lambda box, g, fmt: ["sweep", *box, *g, *fmt], box_flags, pair_limits, formats),
+    st.builds(lambda box, g, fmt, extra: ["sweep", *box, *g, *fmt, *extra],
+              box_flags, pair_limits, formats, st.lists(values, max_size=2)),
     st.builds(lambda box: ["check", *box], box_flags),
 )
 
