@@ -55,9 +55,9 @@ from .invariants import (
     tjurina_lower_bound,
 )
 from .resolution import (
-    InfinitelyNearPoint,
     MultiplicitySequence,
     PointKind,
+    Run,
     append_smooth_points,
     multiplicity_sequence,
 )
@@ -73,7 +73,6 @@ __all__ = [
     "DomainError",
     "EnumerationBounds",
     "GcdNotOneError",
-    "InfinitelyNearPoint",
     "InternalInvariantViolation",
     "InvariantReport",
     "MultiplicitySequence",
@@ -83,6 +82,7 @@ __all__ = [
     "NotSingularError",
     "OverflowLimitError",
     "PointKind",
+    "Run",
     "SemigroupGenerators",
     "SweepRecord",
     "SweepSummary",

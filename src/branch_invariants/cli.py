@@ -21,13 +21,15 @@ rows and the parent joins them (JSON records spliced in as the points
 of cmd_invariants are).  --out is opened before any work, but truncated
 only once the whole text is ready, so a failed sweep leaves it as it was.
 Error messages quote at most errors.ECHO_LIMIT characters of an input;
-argparse's errors are its one "prog: error: message" line, without usage.
+argparse's errors are its one "prog: error: message" line, without usage,
+and a value it quoted is cut by the decoded value's head and length.
 main builds its argument parser once per process, on its first call.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import functools
 import json
 import re
@@ -325,15 +327,19 @@ def cmd_check(args) -> int:
     return 0
 
 
-# argv text in an argparse message: a value as %r quotes it, or a run of other
-# text up to a space (a newline in it is argv text, escaped by echo_plain)
-_ARGV_TEXT = re.compile(r"""'[^']*'|"[^"]*"|[^ ]+""")
+# argv text in an argparse message: a value as %r quotes it, backslash escapes
+# included, or a run of other text up to a space (a newline in it is argv
+# text, escaped by echo_plain)
+_ARGV_TEXT = re.compile(r"""'(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*"|[^ ]+""")
 
 
 def _cut_argv_text(match: re.Match) -> str:
     text = match[0]
     if len(text) > ECHO_LIMIT and text[0] in "'\"" and text.endswith(text[0]):
-        return echo(text[1:-1])  # quoted by repr, as echo quotes it
+        try:  # a value argparse quoted by repr: cut the value itself
+            return echo(ast.literal_eval(text))
+        except (SyntaxError, ValueError):  # quoted argv text that is no literal
+            return echo(text[1:-1])
     return echo_plain(text)
 
 

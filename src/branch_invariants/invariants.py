@@ -61,7 +61,6 @@ from .errors import (
 )
 from .resolution import (
     SEQUENCE_IDENTITIES,
-    InfinitelyNearPoint,
     MultiplicitySequence,
     Run,
     _build_sequence,
@@ -92,7 +91,7 @@ def moduli_dim_term(k: int) -> int:
     return exact_div((k - 3) * (k - 3), 4, "odd moduli term")
 
 
-def adjusted_multiplicity(p: InfinitelyNearPoint | Run) -> int:
+def adjusted_multiplicity(p: Run) -> int:
     """e_p at the origin, e_p + 1 at free points, e_p + 2 at satellites."""
     if p.kind is _ORIGIN:
         return p.multiplicity
@@ -209,7 +208,9 @@ def minimal_tjurina(m: MultiplicitySequence) -> int:
     """Minimal Tjurina number over the equisingularity class.
 
     The closed formula, once the tau_min_double_computation row holds:
-    it agrees with the route through q_min, mu and tau-, sharing no terms.
+    it agrees with q_min + mu - tau-.  Both routes add sigma(e') through
+    moduli_dim_term, so a broken sigma moves them alike; check's
+    sigma_pointwise_bound scan and the tau_min_lower_bound row cover it.
     """
     v = _sequence_values(m, SimpleNamespace())
     check_rows(IDENTITIES, v, ("tau_min_double_computation",))

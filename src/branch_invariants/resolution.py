@@ -26,7 +26,8 @@ run, and the origin splits off the first run.  Adjacent runs with equal
 multiplicity, kind and stage are always merged and empty runs dropped,
 so two sequences are equal exactly when their point lists are.  A class
 therefore costs O(g log beta_g) however many points it has; `points`
-expands the runs on demand, up to the same cap as the membership sieve.
+expands the runs on demand into runs of count 1, up to the same cap as
+the membership sieve, and MultiplicitySequence(m.points) == m.
 
 Stage table.  Stage i depends only on its key (a, b, i): (beta_1, n, 1),
 then (beta_i - beta_{i-1}, e_{i-1}, i).  _build_sequence reads stages from
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import chain, repeat
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -57,21 +59,8 @@ class PointKind(enum.Enum):
 _ORIGIN, _FREE, _SATELLITE = PointKind.ORIGIN, PointKind.FREE, PointKind.SATELLITE
 
 
-@dataclass(frozen=True)
-class InfinitelyNearPoint:
-    multiplicity: int
-    kind: PointKind
-    stage: int  # index of the characteristic pair that produced the point
-
-    def __post_init__(self) -> None:
-        if self.multiplicity < 1:
-            raise InternalInvariantViolation(
-                f"point multiplicity {self.multiplicity} < 1"
-            )
-
-
 class Run(NamedTuple):
-    """count consecutive points of one multiplicity, kind and stage."""
+    """count consecutive points of one multiplicity, kind and stage; a point is a run of one."""
 
     multiplicity: int
     count: int
@@ -105,18 +94,15 @@ class MultiplicitySequence:
             raise InternalInvariantViolation("only the first point is the origin")
 
     @property
-    def points(self) -> tuple[InfinitelyNearPoint, ...]:
-        """Every point in order; refused above SIEVE_LIMIT points."""
+    def points(self) -> tuple[Run, ...]:
+        """Every point in order, as a run of one; refused above SIEVE_LIMIT points."""
         total = sum(r.count for r in self.runs)
         if total > SIEVE_LIMIT:
             raise DomainError(
                 f"{total} resolution points exceed the expansion limit of "
                 f"{SIEVE_LIMIT} (SIEVE_LIMIT)"
             )
-        points: list[InfinitelyNearPoint] = []
-        for r in self.runs:
-            points += [InfinitelyNearPoint(r.multiplicity, r.kind, r.stage)] * r.count
-        return tuple(points)
+        return tuple(chain.from_iterable(repeat(r._replace(count=1), r.count) for r in self.runs))
 
     @property
     def origin_multiplicity(self) -> int:

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from branch_invariants import (
     BranchInvariantError,
     CharacteristicExponents,
+    MultiplicitySequence,
     OverflowLimitError,
+    Run,
     append_smooth_points,
     conductor,
     differential_gap_count,
@@ -135,6 +137,16 @@ def test_run_sums_match_pointwise_sums(c, extra):
     ) == pointwise_sums(m)
     assert minimal_tjurina(m) == pointwise_sums(m)[3]
     assert differential_gap_count(m) == pointwise_sums(m)[4]
+
+
+@settings(max_examples=100, deadline=None)
+@given(classes(max_mult=DEEP_MULT, max_beta=DEEP_BETA), st.integers(0, 3))
+def test_points_are_runs_of_one_that_rebuild_the_sequence(c, extra):
+    m = append_smooth_points(multiplicity_sequence(c), extra)
+    points = m.points
+    assert all(type(p) is Run and p.count == 1 for p in points)
+    assert len(points) == sum(r.count for r in m.runs)
+    assert MultiplicitySequence(points) == m
 
 
 @st.composite

@@ -18,7 +18,11 @@ from branch_invariants import (
     DomainError,
     EnumerationBounds,
     InternalInvariantViolation,
+    MultiplicitySequence,
     NegativeGapCountError,
+    PointKind,
+    SemigroupGenerators,
+    append_smooth_points,
     differential_gap_count,
     evaluate_class,
     full_report,
@@ -34,7 +38,8 @@ from branch_invariants.enumeration import (
     THREADS_ENV_VAR,
     _CHECK_ROWS,
 )
-from branch_invariants.invariants import IDENTITIES
+from branch_invariants.invariants import IDENTITIES, _evaluate
+from branch_invariants.resolution import Run
 
 ROW_NAMES = [name for name, _ in IDENTITIES]
 
@@ -110,6 +115,36 @@ def test_dimca_greuel_rule_counts_free_slack():
     assert check(values) == "margin 8"
     values.mu, values.tau_min, values.free_slack = 24, 18, -100
     assert check(values) == "margin 0"  # never passes unless positive
+
+
+C_467 = CharacteristicExponents(4, (6, 7))  # <4, 6, 13>, conductor 16, tau_min 14
+SEQ_467 = multiplicity_sequence(C_467)
+
+
+# (row, field of the pass, value put there, the row's detail then)
+ROW_DETAILS = [
+    ("gcd_chain_consistency", "s", SemigroupGenerators((4, 5)), "(4, 1) vs (4, 2, 1)"),
+    ("conductor_sieve_agreement", "conductor", 17,
+     "conductor formula gave 17 for <4, 6, 13> but 16 is not a gap"),
+    ("conductor_sieve_agreement", "conductor", 12,
+     "conductor formula gave 12 for <4, 6, 13> but a larger gap exists"),
+    ("milnor_vs_conductor", "mu", 18, "mu 18 vs conductor 16"),
+    ("tau_min_double_computation", "tau_min", 15, "closed 15 vs recombined 14"),
+    ("multiplicity_total_sum", "seq", append_smooth_points(SEQ_467, 1), "sum 11"),
+    ("multiplicity_free_sum", "seq", append_smooth_points(SEQ_467, 1), "free sum 4"),
+    ("multiplicity_satellite_sum", "seq",
+     MultiplicitySequence(SEQ_467.runs + (Run(1, 1, PointKind.SATELLITE, 2),)),
+     "satellite sum 4"),
+]
+
+
+@pytest.mark.parametrize("row, field, value, detail", ROW_DETAILS)
+def test_failing_row_gives_its_detail(row, field, value, detail):
+    check = dict(IDENTITIES)[row]
+    v = _evaluate(C_467, {})
+    assert check(v) is None
+    setattr(v, field, value)
+    assert check(v) == detail
 
 
 @pytest.mark.parametrize(

@@ -25,7 +25,7 @@ import branch_invariants.selfcheck as sc
 from branch_invariants import EnumerationBounds
 from branch_invariants.cli import main
 from branch_invariants.enumeration import THREADS_ENV_VAR
-from branch_invariants.errors import INT64_MAX, INT64_MIN, OverflowLimitError
+from branch_invariants.errors import INT64_MAX, INT64_MIN, OverflowLimitError, echo
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 # an error line quoting a long input stays under this many characters
@@ -154,6 +154,29 @@ class TestOneLineArgparseErrors:
         assert code == ("SystemExit", 2) and out == ""
         assert_one_short_line(err)
         assert "a\\nb" in err
+
+    @pytest.mark.parametrize("value", ["a\\b" * 30, "x'y\"" * 20])
+    def test_escaped_value_is_cut_by_its_text(self, value):
+        code, out, err = call(["sweep", "--max-mult", "3", "--max-beta", "5", "--format", value])
+        assert code == ("SystemExit", 2) and out == ""
+        assert_one_short_line(err)
+        head = f"invalid choice: {value[:40]!r}... ({len(value)} characters) (choose from "
+        assert head in err
+
+    def test_escaped_int_value_is_cut_by_its_text(self):
+        value = "\\" * 50
+        assert call(["sweep", "--max-mult", value, "--max-beta", "3"]) == (
+            ("SystemExit", 2), "",
+            "branch-invariants sweep: error: argument --max-mult: invalid int value: "
+            f"{value[:40]!r}... (50 characters)\n",
+        )
+
+    def test_quoted_text_that_does_not_parse_keeps_its_cut(self):
+        quoted = "\\N{no such name}" + "x" * 40  # argv text in quotes, not a repr
+        code, out, err = call(["sweep", f"--max=x '{quoted}'"])
+        assert code == ("SystemExit", 2) and out == ""
+        assert_one_short_line(err)
+        assert f"ambiguous option: --max=x {echo(quoted)} could match" in err
 
     @pytest.mark.parametrize("argv, message", [
         (["sweep", "--max-mult", "x", "--max-beta", "3"],

@@ -8,10 +8,10 @@ from branch_invariants import (
     CharacteristicExponents,
     DomainError,
     EnumerationBounds,
-    InfinitelyNearPoint,
     InvariantReport,
     NegativeGapCountError,
     PointKind,
+    Run,
     SemigroupGenerators,
     adjusted_multiplicity,
     append_smooth_points,
@@ -70,9 +70,9 @@ class TestModuliDimTerm:
 
 class TestAdjustedMultiplicity:
     def test_mapping(self):
-        assert adjusted_multiplicity(InfinitelyNearPoint(4, PointKind.ORIGIN, 1)) == 4
-        assert adjusted_multiplicity(InfinitelyNearPoint(4, PointKind.FREE, 1)) == 5
-        assert adjusted_multiplicity(InfinitelyNearPoint(4, PointKind.SATELLITE, 1)) == 6
+        assert adjusted_multiplicity(Run(4, 1, PointKind.ORIGIN, 1)) == 4
+        assert adjusted_multiplicity(Run(4, 1, PointKind.FREE, 1)) == 5
+        assert adjusted_multiplicity(Run(4, 1, PointKind.SATELLITE, 1)) == 6
 
 
 class TestMilnor:

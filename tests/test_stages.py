@@ -29,6 +29,13 @@ def test_check_fills_a_new_table_per_call(capsys, monkeypatch):
     assert capsys.readouterr().out.endswith("first failing identity: tau_min_lower_bound\n")
 
 
+def test_broken_identity_in_invariants_exits_3(capsys, monkeypatch):
+    break_sigma(monkeypatch)
+    assert main(["invariants", "--char-exponents", "4:6,7"]) == 3
+    assert capsys.readouterr() == ("", "internal invariant violation: (4; 6, 7): "
+                                       "tau_min_lower_bound failed: tau_min 11 vs bound 11\n")
+
+
 def test_sweep_fills_a_new_table_per_call(monkeypatch):
     bounds = EnumerationBounds(4, 12)
     assert sweep(bounds, workers=1)[1].failed == 0
