@@ -22,7 +22,7 @@ of cmd_invariants are).  --out is opened before any work, but truncated
 only once the whole text is ready, so a failed sweep leaves it as it was.
 Error messages quote at most errors.ECHO_LIMIT characters of an input;
 argparse's errors are its one "prog: error: message" line, without usage,
-and a value it quoted is cut by the decoded value's head and length.
+and a printable value it quoted is cut by the value's own head and length.
 main builds its argument parser once per process, on its first call.
 """
 
@@ -337,9 +337,14 @@ def _cut_argv_text(match: re.Match) -> str:
     text = match[0]
     if len(text) > ECHO_LIMIT and text[0] in "'\"" and text.endswith(text[0]):
         try:  # a value argparse quoted by repr: cut the value itself
-            return echo(ast.literal_eval(text))
+            value = ast.literal_eval(text)
         except (SyntaxError, ValueError):  # quoted argv text that is no literal
-            return echo(text[1:-1])
+            value = None
+        # an unprintable value is cut in its escaped form, because echo's
+        # repr of its head can run to ten times ECHO_LIMIT characters
+        if value is not None and value.isprintable():
+            return echo(value)
+        return echo(text[1:-1])
     return echo_plain(text)
 
 

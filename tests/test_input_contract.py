@@ -171,6 +171,13 @@ class TestOneLineArgparseErrors:
             f"{value[:40]!r}... (50 characters)\n",
         )
 
+    def test_unprintable_value_keeps_its_escaped_cut(self):
+        value = "\U0010ffff" * 41
+        code, out, err = call(["sweep", "--max-mult", "3", "--max-beta", "5", "--format", value])
+        assert code == ("SystemExit", 2) and out == ""
+        assert_one_short_line(err)
+        assert f"invalid choice: {echo(repr(value)[1:-1])} (choose from " in err
+
     def test_quoted_text_that_does_not_parse_keeps_its_cut(self):
         quoted = "\\N{no such name}" + "x" * 40  # argv text in quotes, not a repr
         code, out, err = call(["sweep", f"--max=x '{quoted}'"])
