@@ -20,9 +20,10 @@ json.dumps.  sweep hands a row renderer down, so pool workers render the
 rows and the parent joins them (JSON records spliced in as the points
 of cmd_invariants are).  --out is opened before any work, but truncated
 only once the whole text is ready, so a failed sweep leaves it as it was.
-Error messages quote at most errors.ECHO_LIMIT characters of an input;
-argparse's errors are its one "prog: error: message" line, without usage,
-and a printable value it quoted is cut by the value's own head and length.
+Error messages quote an input in at most errors.ECHO_LIMIT + 2
+characters, escapes included; argparse's errors are its one "prog: error:
+message" line, without usage, and a value it quoted is cut by the value's
+own head and length.  check walks its box on the workers sweep would use.
 main builds its argument parser once per process, on its first call.
 """
 
@@ -337,14 +338,9 @@ def _cut_argv_text(match: re.Match) -> str:
     text = match[0]
     if len(text) > ECHO_LIMIT and text[0] in "'\"" and text.endswith(text[0]):
         try:  # a value argparse quoted by repr: cut the value itself
-            value = ast.literal_eval(text)
+            return echo(ast.literal_eval(text))
         except (SyntaxError, ValueError):  # quoted argv text that is no literal
-            value = None
-        # an unprintable value is cut in its escaped form, because echo's
-        # repr of its head can run to ten times ECHO_LIMIT characters
-        if value is not None and value.isprintable():
-            return echo(value)
-        return echo(text[1:-1])
+            return echo(text[1:-1])
     return echo_plain(text)
 
 

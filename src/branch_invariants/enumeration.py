@@ -12,10 +12,10 @@ membership sieve above SIEVE_LIMIT, aborts it.
 
 Parallel evaluation is opt-in through the environment variable
 BRANCH_INVARIANTS_THREADS (a positive integer capping worker count).
-Workers enumerate, evaluate and render runs of consecutive prefixes
-themselves and send back only rows and counts; the runs are joined in
-prefix order, which is enumeration order, so output is byte-identical
-with and without workers.
+For the sweep and the identity suite (selfcheck) alike, workers walk
+runs of consecutive prefixes themselves and send back only rows and
+counts, or first failures; runs are joined in prefix order, which is
+enumeration order, so output is byte-identical with and without workers.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import signal
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import chain, repeat
 from typing import Any, Callable, Iterable, Iterator
 
@@ -182,14 +183,33 @@ def _start_worker() -> None:
     _worker_table.clear()
 
 
-def _sweep_run(bounds, prefixes, render, table: dict = _worker_table) -> tuple:
-    """Rows, failed count and largest quotient of the classes under prefixes.
+def _run_prefixes(run, bounds, prefixes, table: dict = _worker_table):
+    """run(classes, table) on the classes under prefixes; pool tasks use the worker's table."""
+    return run(_subtrees(bounds, prefixes), table)
 
-    Quotients are reduced, so cross-multiplying compares them.  Pool tasks
-    run on the default table, the worker's.
+
+def _walk(bounds: EnumerationBounds, run: Callable, workers: int | None) -> list:
+    """run(classes, table) on runs of prefixes of bounds, the results in prefix order.
+
+    Serially: one run, one new table.  A pool task: TASK_PREFIXES prefixes
+    on its worker's table.  An error or Ctrl-C cancels the tasks not started.
     """
+    count = _worker_count(workers)
+    prefixes = list(_prefixes(bounds))
+    if count > 1 and len(prefixes) > 1:
+        tasks = [prefixes[i:i + TASK_PREFIXES] for i in range(0, len(prefixes), TASK_PREFIXES)]
+        pool = ProcessPoolExecutor(count, initializer=_start_worker)
+        try:
+            return list(pool.map(_run_prefixes, repeat(run), repeat(bounds), tasks))
+        finally:
+            pool.shutdown(cancel_futures=True)
+    return [_run_prefixes(run, bounds, prefixes, {})]
+
+
+def _sweep_run(classes, table: dict, render) -> tuple:
+    """Rows, failed count and largest quotient (reduced: cross-multiplying compares) of classes."""
     rows, failed, num, den = [], 0, 0, 1
-    for c in _subtrees(bounds, prefixes):
+    for c in classes:
         rec = _evaluate_record(c, table)
         if not rec.passed:
             failed += 1
@@ -209,23 +229,10 @@ def sweep(
 
     render defaults to returning the record.  workers defaults to the
     BRANCH_INVARIANTS_THREADS environment variable (serial when unset).
-    A serial sweep keeps one stage table; a pool worker keeps one for the
-    pool's life and renders the rows of each run of TASK_PREFIXES prefixes
-    it is given.  The runs are joined in order, so worker count never
-    changes the output.  An error or Ctrl-C cancels the tasks not started.
+    Pool workers render the rows of their runs; the runs are joined in
+    order, so worker count never changes the output.
     """
-    count = _worker_count(workers)
-    prefixes = list(_prefixes(bounds))
-    if count > 1 and len(prefixes) > 1:
-        size = TASK_PREFIXES
-        tasks = [prefixes[i:i + size] for i in range(0, len(prefixes), size)]
-        pool = ProcessPoolExecutor(count, initializer=_start_worker)
-        try:
-            runs = list(pool.map(_sweep_run, repeat(bounds), tasks, repeat(render)))
-        finally:
-            pool.shutdown(cancel_futures=True)
-    else:
-        runs = [_sweep_run(bounds, prefixes, render, {})]
+    runs = _walk(bounds, partial(_sweep_run, render=render), workers)
     rows = [row for run_rows, _, _ in runs for row in run_rows]
     summary = SweepSummary(len(rows), max(q for *_, q in runs), sum(f for _, f, _ in runs))
     return rows, summary

@@ -73,10 +73,15 @@ def check_int64(*values: int) -> None:
 
 
 def echo(text: str) -> str:
-    """repr(text) for an error message; a longer text gives its head and its length."""
-    if len(text) <= ECHO_LIMIT:
-        return repr(text)
-    return f"{text[:ECHO_LIMIT]!r}... ({len(text)} characters)"
+    """repr(text) for an error message, cut to fit in ECHO_LIMIT + 2 characters.
+
+    A cut quotes the longest head (at most ECHO_LIMIT characters, never split
+    inside an escape) whose repr fits, then gives the length of text.
+    """
+    head = text[:ECHO_LIMIT]
+    while len(repr(head)) > ECHO_LIMIT + 2:
+        head = head[:-1]
+    return repr(text) if head == text else f"{head!r}... ({len(text)} characters)"
 
 
 def echo_plain(value: object) -> str:

@@ -7,9 +7,9 @@ exception; an internal invariant violation raised inside the pass is
 charged to the identity of the step that raised it, while an input or
 limit error (such as a sieve above SIEVE_LIMIT) propagates.  Two checks
 exist only here: invariance under appended smooth points, and a
-pointwise scan of the moduli dimension term.  The suite reports one
-result per identity; a result carries the first class on which the
-identity failed.
+pointwise scan of the moduli dimension term, run serially after the
+box, walked as the sweep walks it.  The suite reports one result per
+identity; a result carries the first failing class in enumeration order.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from types import SimpleNamespace
 
 from .combinatorics import CharacteristicExponents
 from .errors import InternalInvariantViolation, failing_rows
-from .enumeration import EnumerationBounds, enumerate_classes
+from .enumeration import EnumerationBounds, _walk
 from .invariants import (
     IDENTITIES,
     _evaluate,
@@ -48,15 +48,14 @@ def _sigma_pointwise() -> CheckResult:
     return CheckResult("sigma_pointwise_bound", True)
 
 
-def run_identity_suite(bounds: EnumerationBounds) -> list[CheckResult]:
-    """Evaluate every named identity over all classes in bounds."""
+def _suite_run(classes, table: dict) -> dict[str, str]:
+    """The first failure of each identity on classes, by name."""
     failures: dict[str, str] = {}
 
     def fail(name: str, c: CharacteristicExponents, detail: str) -> None:
         failures.setdefault(name, f"first failure at {c}: {detail}")
 
-    table: dict = {}  # the stages of the box, shared by its classes
-    for c in enumerate_classes(bounds):
+    for c in classes:
         try:
             v = _evaluate(c, table)
         except InternalInvariantViolation as exc:
@@ -69,6 +68,14 @@ def run_identity_suite(bounds: EnumerationBounds) -> list[CheckResult]:
             if any(value != getattr(v, key) for key, value in vars(ext).items()):
                 fail("resolution_invariance", c, f"changed after appending {k} points")
                 break
+    return failures
+
+
+def run_identity_suite(bounds: EnumerationBounds) -> list[CheckResult]:
+    """Evaluate every named identity over all classes in bounds, then the sigma scan."""
+    failures: dict[str, str] = {}
+    for run in _walk(bounds, _suite_run, None):
+        failures = run | failures  # runs are in enumeration order: the earliest stands
     names = [name for name, _ in IDENTITIES] + ["resolution_invariance"]
     results = [
         CheckResult(name, name not in failures, failures.get(name, ""))

@@ -118,6 +118,7 @@ class TestEchoedInput:
         ["--char-exponents", f"2:{HUGE}"],
         ["--char-exponents", HUGE],
         ["--semigroup", f"2,{HUGE}"],
+        ["--pair", "2," + "\U0010ffff" * 41],  # each character quotes as ten
     ])
     def test_long_argument_is_cut(self, capsys, flags):
         code, out, err = handled(capsys, ["invariants", *flags])

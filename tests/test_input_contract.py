@@ -25,7 +25,13 @@ import branch_invariants.selfcheck as sc
 from branch_invariants import EnumerationBounds
 from branch_invariants.cli import main
 from branch_invariants.enumeration import THREADS_ENV_VAR
-from branch_invariants.errors import INT64_MAX, INT64_MIN, OverflowLimitError, echo
+from branch_invariants.errors import (
+    ECHO_LIMIT,
+    INT64_MAX,
+    INT64_MIN,
+    OverflowLimitError,
+    echo,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 # an error line quoting a long input stays under this many characters
@@ -136,6 +142,7 @@ class TestOneLineArgparseErrors:
         ["sweep", "--max=" + "x" * 5000],
         ["x" * 5000],
         ["invariants", "--format", "x " * 2500, "--pair", "2,3"],
+        ["sweep", "--max-mult", "3", "--max-beta", "5", "--format", "\\" * 50],
     ])
     def test_long_argv_text_is_cut(self, argv):
         code, out, err = call(argv)
@@ -155,12 +162,14 @@ class TestOneLineArgparseErrors:
         assert_one_short_line(err)
         assert "a\\nb" in err
 
-    @pytest.mark.parametrize("value", ["a\\b" * 30, "x'y\"" * 20])
-    def test_escaped_value_is_cut_by_its_text(self, value):
+    # each head is the longest prefix whose repr fits in ECHO_LIMIT + 2 characters
+    @pytest.mark.parametrize("value, cut", [("a\\b" * 30, 30), ("x'y\"" * 20, 32)])
+    def test_escaped_value_is_cut_by_its_text(self, value, cut):
         code, out, err = call(["sweep", "--max-mult", "3", "--max-beta", "5", "--format", value])
         assert code == ("SystemExit", 2) and out == ""
         assert_one_short_line(err)
-        head = f"invalid choice: {value[:40]!r}... ({len(value)} characters) (choose from "
+        assert len(repr(value[:cut])) == ECHO_LIMIT + 2
+        head = f"invalid choice: {value[:cut]!r}... ({len(value)} characters) (choose from "
         assert head in err
 
     def test_escaped_int_value_is_cut_by_its_text(self):
@@ -168,15 +177,15 @@ class TestOneLineArgparseErrors:
         assert call(["sweep", "--max-mult", value, "--max-beta", "3"]) == (
             ("SystemExit", 2), "",
             "branch-invariants sweep: error: argument --max-mult: invalid int value: "
-            f"{value[:40]!r}... (50 characters)\n",
+            f"{value[:20]!r}... (50 characters)\n",
         )
 
-    def test_unprintable_value_keeps_its_escaped_cut(self):
+    def test_unprintable_value_is_cut_by_its_text(self):
         value = "\U0010ffff" * 41
         code, out, err = call(["sweep", "--max-mult", "3", "--max-beta", "5", "--format", value])
         assert code == ("SystemExit", 2) and out == ""
         assert_one_short_line(err)
-        assert f"invalid choice: {echo(repr(value)[1:-1])} (choose from " in err
+        assert f"invalid choice: {value[:4]!r}... (41 characters) (choose from " in err
 
     def test_quoted_text_that_does_not_parse_keeps_its_cut(self):
         quoted = "\\N{no such name}" + "x" * 40  # argv text in quotes, not a repr
@@ -214,7 +223,7 @@ values = st.one_of(
     st.sampled_from([str(v) for v in EDGES]),
     st.integers(-3, 40).map(str),
     st.sampled_from(["+7", "-0", "1_0", "2_1", "1_000", "_1", "1_", "1__0", "", " 5", "x",
-                     "4\n", "a\nb", NINES, "-" + NINES, HUGE]),
+                     "4\n", "a\nb", NINES, "-" + NINES, HUGE, "\\" * 50, "\U0010ffff" * 41]),
 )
 value_lists = st.builds(
     lambda items, trailing: ",".join(items) + ("," if trailing else ""),
@@ -227,7 +236,7 @@ class_flags = st.one_of(
     st.builds(lambda gens: ["--semigroup", gens], value_lists),
     st.builds(lambda pair: ["--pair", pair], value_lists),
 )
-formats = st.one_of(st.just([]), st.sampled_from(["table", "json", "csv"]).map(
+formats = st.one_of(st.just([]), st.one_of(st.sampled_from(["table", "json", "csv"]), values).map(
     lambda fmt: ["--format", fmt]))
 # boxes are tiny or outside int64: an in-range huge box is not bounded
 outside = st.sampled_from([str(INT64_MAX + 1), str(INT64_MIN - 1), NINES, HUGE])

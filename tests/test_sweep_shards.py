@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 import branch_invariants.enumeration as en
 import branch_invariants.selfcheck as sc
-from branch_invariants import EnumerationBounds, enumerate_classes, sweep
+from branch_invariants import EnumerationBounds, enumerate_classes, run_identity_suite, sweep
 from branch_invariants.cli import (
     CSV_COLUMNS,
     SWEEP_TABLE_HEADER,
@@ -143,6 +143,38 @@ def test_worker_tables_live_for_one_sweep(monkeypatch):
     assert "tau_min_lower_bound failed" in failed[0].error
 
 
+@pytest.mark.parametrize("threads", ["x", "0"])
+def test_check_refuses_a_bad_thread_count_as_sweep_does(capsys, monkeypatch, threads):
+    monkeypatch.setenv(THREADS_ENV_VAR, threads)
+    lines = []
+    for command in ("sweep", "check"):
+        assert main([command, "--max-mult", "4", "--max-beta", "12"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        lines.append(captured.err)
+    assert lines[0] == lines[1]
+    assert lines[0].startswith(f"error: {THREADS_ENV_VAR} must be")
+
+
+@forks
+def test_check_names_the_first_failing_class_whatever_the_workers(monkeypatch):
+    def from_n_5(v):
+        return f"n = {v.c.n}" if v.c.n >= 5 else None
+
+    monkeypatch.setattr(sc, "IDENTITIES", [*sc.IDENTITIES, ("from_n_5", from_n_5)])
+    monkeypatch.setattr(sc, "SIGMA_BOUND_LIMIT", 20)  # the scan is not under test
+    bounds = EnumerationBounds(8, 40)
+    # the failing classes start past the first pool task's prefixes
+    assert sum(1 for n, _ in _prefixes(bounds) if n < 5) > en.TASK_PREFIXES
+    serial = run_identity_suite(bounds)
+    monkeypatch.setenv(THREADS_ENV_VAR, "2")
+    assert run_identity_suite(bounds) == serial
+    failed = [res for res in serial if not res.passed]
+    assert [(res.name, res.detail) for res in failed] == [
+        ("from_n_5", "first failure at (5; 6): n = 5")
+    ]
+
+
 def test_unwritable_out_exits_2_before_any_work(capsys, monkeypatch, tmp_path):
     evaluated = []
     real = en._evaluate
@@ -173,6 +205,7 @@ def interrupt(c, table):
     (["sweep", "--format", "csv"], en, None),
     pytest.param(["sweep", "--format", "csv"], en, "2", marks=forks),
     (["check"], sc, None),
+    pytest.param(["check"], sc, "2", marks=forks),
 ])
 def test_ctrl_c_exits_130_with_one_line(capsys, monkeypatch, command, module, threads):
     monkeypatch.setattr(module, "_evaluate", interrupt)
