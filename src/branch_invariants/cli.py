@@ -19,7 +19,8 @@ by point; a point's JSON item comes from one template, byte-equal to
 json.dumps.  sweep hands a row renderer down, so pool workers render the
 rows and the parent joins them (JSON records spliced in as the points
 of cmd_invariants are).  --out is opened before any work, but truncated
-only once the whole text is ready, so a failed sweep leaves it as it was.
+only once the whole text is ready, so a failed sweep leaves it as it was;
+a file that only this opening made is removed again.
 Error messages quote an input in at most errors.ECHO_LIMIT + 2
 characters, escapes included; argparse's errors are its one "prog: error:
 message" line, without usage, and a value it quoted is cut by the value's
@@ -33,6 +34,7 @@ import argparse
 import ast
 import functools
 import json
+import os
 import re
 import sys
 
@@ -156,24 +158,25 @@ def _sequence_compact(m: MultiplicitySequence) -> str:
     return _repeated(m, lambda run: f"{run.multiplicity}{run.kind.value[0]}", ";")
 
 
-def _record_row(rec: SweepRecord) -> dict[str, str]:
+def _record_row(rec: SweepRecord) -> list[str]:
+    """The fields of rec, in CSV_COLUMNS order."""
     c, r = rec.char_exponents, rec.report
     values = [""] * 7 if r is None else [
         str(r.mu), str(r.tau_minus), str(r.q_min), str(r.tau_min),
         f"{r.quotient_num}/{r.quotient_den}", str(r.tau_lower_bound), str(r.delta_gen_gaps),
     ]
-    return dict(zip(CSV_COLUMNS, [
+    return [
         str(c.n),
         ";".join(str(v) for v in (c.n, *c.beta)),
         ";".join(str(v) for v in rec.semigroup.gens) if rec.semigroup else "",
         *values,
         "1" if rec.passed else "0",
-    ]))
+    ]
 
 
 def _csv_row(rec: SweepRecord) -> str:
-    """The line csv.DictWriter writes for rec: no field holds a comma or quote."""
-    return ",".join(_record_row(rec).values())
+    """The line csv.writer writes for rec: no field holds a comma or quote."""
+    return ",".join(_record_row(rec))
 
 
 def _json_text(obj) -> str:
@@ -290,17 +293,23 @@ def _sweep_text(fmt: str, bounds: EnumerationBounds, rows: list[str], summary) -
 
 def cmd_sweep(args) -> int:
     bounds = EnumerationBounds(args.max_mult, args.max_beta, args.max_pairs)
+    made = bool(args.out) and not os.path.exists(args.out)
     if args.out:
         # an unwritable --out fails here, before any class is evaluated; the
         # file keeps its contents until the text is ready
         open(args.out, "a", encoding="utf-8").close()
-    rows, summary = sweep(bounds, render=SWEEP_FORMATS[args.format][0])
-    text = _sweep_text(args.format, bounds, rows, summary)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as out:
-            out.write(text)
-    else:
-        sys.stdout.write(text)
+    try:
+        rows, summary = sweep(bounds, render=SWEEP_FORMATS[args.format][0])
+        text = _sweep_text(args.format, bounds, rows, summary)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as out:
+                out.write(text)
+        else:
+            sys.stdout.write(text)
+    except BaseException:
+        if made:  # a failed sweep leaves no file where there was none
+            os.remove(args.out)
+        raise
     print(
         f"classes: {summary.classes}  "
         f"max mu/tau_min: {summary.max_quotient.numerator}/"

@@ -117,15 +117,19 @@ def _run_sum(m: MultiplicitySequence, term: Callable[[Run], int]) -> int:
 
 
 def _tjurina_term(p: Run) -> int:
-    """sigma(e') plus (e^2+3e-6)/2 at the origin, (e-1)(e+2)/2 free, e(e-1)/2 else."""
-    e = p.multiplicity
+    """sigma(e') plus (e^2+3e-6)/2 at the origin, (e-1)(e+2)/2 free, e(e-1)/2 else.
+
+    sigma(k) is floor((k-3)^2/4) here, not moduli_dim_term(k): the two agree
+    for k >= 2, and q_min, on the other tau_min route, reads moduli_dim_term.
+    """
+    e, k = p.multiplicity, adjusted_multiplicity(p)
     if p.kind is _ORIGIN:
         twice = e * e + 3 * e - 6
     elif p.kind is _FREE:
         twice = (e - 1) * (e + 2)
     else:
         twice = e * (e - 1)
-    return moduli_dim_term(adjusted_multiplicity(p)) + exact_div(twice, 2, "tau_min term")
+    return (k - 3) * (k - 3) // 4 + exact_div(twice, 2, "tau_min term")
 
 
 def _gap_term(p: Run) -> int:
@@ -208,9 +212,9 @@ def minimal_tjurina(m: MultiplicitySequence) -> int:
     """Minimal Tjurina number over the equisingularity class.
 
     The closed formula, once the tau_min_double_computation row holds:
-    it agrees with q_min + mu - tau-.  Both routes add sigma(e') through
-    moduli_dim_term, so a broken sigma moves them alike; check's
-    sigma_pointwise_bound scan and the tau_min_lower_bound row cover it.
+    it agrees with q_min + mu - tau-.  The two routes share no sigma term:
+    the closed one writes sigma(e') as floor((e'-3)^2/4) and q_min reads
+    moduli_dim_term, so a broken sigma fails that row.
     """
     v = _sequence_values(m, SimpleNamespace())
     check_rows(IDENTITIES, v, ("tau_min_double_computation",))

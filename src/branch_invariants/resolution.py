@@ -7,10 +7,13 @@ the Euclidean algorithm on the pair's exponent data: stage 1 on
 division step a = q b + r emits the divisor b as a multiplicity q times.
 
 A point is free when it lies on exactly one exceptional component,
-satellite when it lies on two.  Within a stage the free points are the
-maximal prefix (past the origin in stage 1) whose multiplicities sum to
-beta_i - beta_{i-1}; the Euclidean structure makes that prefix sum
-always exactly attainable, and three sum identities pin the result:
+satellite when it lies on two.  A stage's first division step
+a = q b + r fixes the split in closed form (Casas-Alvero, Singularities
+of Plane Curves, on Enriques diagrams): its q points of multiplicity b
+are free (past the origin in stage 1), the next point, of multiplicity
+r, is the last free one, and every later point is a satellite.  So the
+free points of stage i sum to beta_i - beta_{i-1}, with beta_0 = n, and
+three sum identities check the result:
 
     multiplicity_total_sum       sum of all multiplicities = beta_g + n - 1
     multiplicity_free_sum        n + sum over free points  = beta_g
@@ -137,40 +140,20 @@ def _euclid_runs(a: int, b: int) -> list[tuple[int, int]]:
 def _mark_stage(a: int, b: int, stage: int) -> tuple[Run, ...]:
     """The runs of the stage with key (a, b, stage), split by kind of point.
 
-    The free points are the maximal prefix (past the origin in stage 1)
-    summing to a - b in stage 1 and to a after it, exactly, or the
-    generating algorithm is broken.
+    With a = q b + r the first division step, the q points of
+    multiplicity b are free (the first is the origin in stage 1), the
+    next point, of multiplicity r, is the last free one, and the rest of
+    Euclid's runs on (b, r) are satellites.  A key with b < 1 or b | a
+    has no such split, and raises.
     """
-    runs = _euclid_runs(a, b)
-    if not runs:
-        raise InternalInvariantViolation(f"stage {stage} emitted no valid points")
-    for j in range(1, len(runs)):
-        if runs[j][0] > runs[j - 1][0]:
-            raise InternalInvariantViolation(
-                f"stage {stage} multiplicities increase at run {j}"
-            )
-    out: list[Run] = []
-    free_target = a
-    if stage == 1:
-        m, q = runs[0]
-        out.append(Run(m, 1, _ORIGIN, stage))
-        runs = [(m, q - 1), *runs[1:]]
-        free_target -= b
-    left = free_target
-    for i, (m, q) in enumerate(runs):
-        free = max(0, min(q, left // m))
-        left -= free * m
-        if free:
-            out.append(Run(m, free, _FREE, stage))
-        if free < q:
-            out.append(Run(m, q - free, _SATELLITE, stage))
-            out += [Run(m2, q2, _SATELLITE, stage) for m2, q2 in runs[i + 1:]]
-            break
-    if left:
-        raise InternalInvariantViolation(
-            f"stage {stage}: free prefix reaches {free_target - left}, not {free_target}"
-        )
-    return tuple(out)
+    if b < 1 or a % b == 0:
+        raise InternalInvariantViolation(f"stage {stage} key ({a}, {b}) has no split")
+    q, r = divmod(a, b)
+    (_, q1), *rest = _euclid_runs(b, r)
+    runs = [(b, 1, _ORIGIN), (b, q - 1, _FREE)] if stage == 1 else [(b, q, _FREE)]
+    runs += [(r, 1, _FREE), (r, q1 - 1, _SATELLITE)]
+    runs += [(m, count, _SATELLITE) for m, count in rest]
+    return tuple(Run(m, count, kind, stage) for m, count, kind in runs if count)
 
 
 def _stage_keys(c: CharacteristicExponents) -> list[tuple[int, int, int]]:

@@ -163,9 +163,9 @@ class TestCheckCommand:
         code, out, _ = run(capsys, "check", "--max-mult", "4", "--max-beta", "12")
         assert code == 1
         assert "FAIL" in out
-        # both tau_min routes use the same sigma terms, so the break shows
-        # up where tau_min meets a sigma-free quantity: the sharp bound
-        assert "first failing identity: tau_min_lower_bound" in out
+        # the closed tau_min route writes sigma apart from moduli_dim_term,
+        # so the break first shows where the two routes meet
+        assert "first failing identity: tau_min_double_computation" in out
 
 
 class TestErrorPaths:

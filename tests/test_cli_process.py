@@ -73,6 +73,10 @@ class TestPointTemplate:
         assert _json_point(Run(m, 1, kind, stage)) == _json_item(point)
 
 
+def _interrupt(c, table):
+    raise KeyboardInterrupt
+
+
 class TestOutOnFailure:
     """A sweep that fails after --out was opened leaves the file as it was."""
 
@@ -94,6 +98,17 @@ class TestOutOnFailure:
         code = main(["sweep", "--max-mult", "8", "--max-beta", "40", "--out", str(target)])
         assert code == 130
         assert target.read_text(encoding="utf-8") == "old\n"
+
+    @pytest.mark.parametrize("fail, code", [
+        (lambda mp: mp.setattr(comb, "SIEVE_LIMIT", 40), 2),
+        (lambda mp: mp.setattr(en, "_evaluate", _interrupt), 130),
+        (lambda mp: mp.setenv(THREADS_ENV_VAR, "x"), 2),
+    ], ids=["limit", "interrupt", "threads"])
+    def test_failure_leaves_an_absent_out_absent(self, capsys, monkeypatch, tmp_path, fail, code):
+        target = tmp_path / "absent.csv"
+        fail(monkeypatch)
+        assert main(["sweep", "--max-mult", "4", "--max-beta", "30", "--out", str(target)]) == code
+        assert not target.exists()
 
     def test_success_replaces_out(self, capsys, tmp_path):
         target = tmp_path / "records.csv"

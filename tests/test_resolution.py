@@ -1,8 +1,12 @@
-"""Multiplicity sequences: pinned values, blow-up oracle, sum identities."""
+"""Multiplicity sequences: pinned values, blow-up oracle, sum identities, stage split."""
 
 from __future__ import annotations
 
+import math
+
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from branch_invariants import (
     CharacteristicExponents,
@@ -15,7 +19,8 @@ from branch_invariants import (
     enumerate_classes,
     multiplicity_sequence,
 )
-from branch_invariants.resolution import Run
+from branch_invariants.errors import INT64_MAX
+from branch_invariants.resolution import Run, _euclid_runs, _mark_stage
 from oracles import blowup_multiplicity_sequence
 
 O, F, S = "origin", "free", "satellite"
@@ -163,3 +168,40 @@ class TestRuns:
         assert m.sum_total() == 10**18 + 2
         with pytest.raises(DomainError, match="SIEVE_LIMIT"):
             m.points
+
+
+class TestStageSplit:
+    """A stage's runs, by the definition of free and satellite, at int64 scale."""
+
+    @given(
+        st.one_of(st.integers(2, 64), st.integers(2, INT64_MAX)),
+        st.one_of(st.integers(1, 64), st.integers(1, INT64_MAX)),
+        st.integers(1, 4),
+    )
+    def test_split_of_any_key(self, b, a, stage):
+        assume(a % b and (stage > 1 or a > b))
+        runs = _mark_stage(a, b, stage)
+        order = [PointKind.ORIGIN, PointKind.FREE, PointKind.SATELLITE]
+        kinds = [r.kind for r in runs]
+        assert kinds == sorted(kinds, key=order.index)
+        assert all(r.stage == stage and r.count > 0 for r in runs)
+        origins = [r for r in runs if r.kind is PointKind.ORIGIN]
+        assert origins == ([Run(b, 1, PointKind.ORIGIN, 1)] if stage == 1 else [])
+
+        def total(kind):
+            return sum(r.multiplicity * r.count for r in runs if r.kind is kind)
+
+        assert total(PointKind.FREE) == (a - b if stage == 1 else a)
+        assert total(PointKind.SATELLITE) == b - math.gcd(a, b)
+        merged: list[tuple[int, int]] = []
+        for r in runs:
+            if merged and merged[-1][0] == r.multiplicity:
+                merged[-1] = (r.multiplicity, merged[-1][1] + r.count)
+            else:
+                merged.append((r.multiplicity, r.count))
+        assert merged == _euclid_runs(a, b)
+
+    @pytest.mark.parametrize("a, b", [(6, 3), (5, 0)])
+    def test_key_without_a_split_is_an_internal_violation(self, a, b):
+        with pytest.raises(InternalInvariantViolation, match="stage 2"):
+            _mark_stage(a, b, 2)

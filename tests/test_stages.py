@@ -26,14 +26,25 @@ def test_check_fills_a_new_table_per_call(capsys, monkeypatch):
     capsys.readouterr()
     break_sigma(monkeypatch)
     assert main(["check", "--max-mult", "4", "--max-beta", "12"]) == 1
-    assert capsys.readouterr().out.endswith("first failing identity: tau_min_lower_bound\n")
+    assert capsys.readouterr().out.endswith("first failing identity: tau_min_double_computation\n")
 
 
 def test_broken_identity_in_invariants_exits_3(capsys, monkeypatch):
     break_sigma(monkeypatch)
     assert main(["invariants", "--char-exponents", "4:6,7"]) == 3
     assert capsys.readouterr() == ("", "internal invariant violation: (4; 6, 7): "
-                                       "tau_min_lower_bound failed: tau_min 11 vs bound 11\n")
+                                       "tau_min_double_computation failed: "
+                                       "closed 14 vs recombined 11\n")
+
+
+def test_broken_sigma_fails_the_double_computation_on_one_pair(capsys, monkeypatch):
+    # tau_min of (5; 7) stays above its lower bound of 18 either way, so only the
+    # double computation can see the break
+    break_sigma(monkeypatch)
+    assert main(["invariants", "--pair", "5,7"]) == 3
+    assert capsys.readouterr() == ("", "internal invariant violation: (5; 7): "
+                                       "tau_min_double_computation failed: "
+                                       "closed 21 vs recombined 20\n")
 
 
 def test_sweep_fills_a_new_table_per_call(monkeypatch):
@@ -43,7 +54,7 @@ def test_sweep_fills_a_new_table_per_call(monkeypatch):
     records, summary = sweep(bounds, workers=1)
     failed = [rec for rec in records if not rec.passed]
     assert summary.failed == len(failed) > 0
-    assert "tau_min_lower_bound failed" in failed[0].error
+    assert "tau_min_double_computation failed" in failed[0].error
 
 
 def test_shards_join_in_order():
