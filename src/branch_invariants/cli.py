@@ -209,9 +209,10 @@ def _invariants_table(
 
 def cmd_invariants(args) -> int:
     c = _class_from_args(args)
+    # the pass first: a class out of range exits on its error, not on a sequence sum's
+    r = full_report(c)  # raises unless every identity holds
     s = semigroup_from_char_exponents(c)
     m = multiplicity_sequence(c)
-    r = full_report(c)  # raises unless every identity holds
     if args.format == "json":
         doc = {
             "char_exponents": _class_dict(c),

@@ -204,9 +204,7 @@ def _exponents_from_generators(s: SemigroupGenerators) -> CharacteristicExponent
     mult = s.multipliers
     beta = [s.gens[1]]
     for i in range(1, s.g):
-        b = s.gens[i + 1] - mult[i - 1] * s.gens[i] + beta[i - 1]
-        check_int64(b)
-        beta.append(b)
+        beta.append(s.gens[i + 1] - mult[i - 1] * s.gens[i] + beta[i - 1])
     return CharacteristicExponents(s.gens[0], tuple(beta))
 
 

@@ -14,9 +14,9 @@ at satellite points):
 with sigma(k) = (k-2)(k-4)/4 for even k and (k-3)^2/4 for odd k.
 Multiplicity-1 free points contribute zero to every sum, so invariants
 are stable under extending a resolution past the minimal one.  Each sum
-is _run_sum of a per-point term, one count * term per run (see
-resolution), with each product and total checked to 64 bits; terms are
-non-negative, so it raises exactly when the point-by-point sum would.
+is _run_sum of a per-point term, the exact sum of count * term over runs
+(see resolution) checked once, at its total, to stay in 64 bits; terms
+are non-negative, so no product or partial sum exceeds the total.
 Each sum is also additive over stages: in its tau_min_double_computation
 step the evaluation pass adds up the values of the stage table, filling
 a missing entry by the same routes over the stage's runs.
@@ -49,7 +49,6 @@ from .combinatorics import (
     semigroup_from_char_exponents,
 )
 from .errors import (
-    INT64_MAX,
     DomainError,
     InternalInvariantViolation,
     NegativeGapCountError,
@@ -103,16 +102,11 @@ def adjusted_multiplicity(p: Run) -> int:
 def _run_sum(m: MultiplicitySequence, term: Callable[[Run], int]) -> int:
     """Sum of term(p) over the points p of m, as count * term(run) per run.
 
-    Each product and each running total is checked to stay in 64 bits.
+    The sum is exact and only its total is checked to stay in 64 bits:
+    no term is negative, so no product or partial sum exceeds the total.
     """
-    total = 0
-    for run in m.runs:
-        product = run.count * term(run)
-        total += product
-        # check_int64 inline for the usual non-negative product, which
-        # cannot take a total that was in range below INT64_MIN
-        if not 0 <= product <= INT64_MAX or total > INT64_MAX:
-            check_int64(product, total)
+    total = sum(run.count * term(run) for run in m.runs)
+    check_int64(total)
     return total
 
 

@@ -48,7 +48,7 @@ from types import SimpleNamespace
 from typing import NamedTuple
 
 from .combinatorics import SIEVE_LIMIT, CharacteristicExponents
-from .errors import DomainError, InternalInvariantViolation, check_rows
+from .errors import DomainError, InternalInvariantViolation, check_int64, check_rows
 
 
 class PointKind(enum.Enum):
@@ -60,6 +60,11 @@ class PointKind(enum.Enum):
 # the kinds under plain names: on CPython 3.11 looking a member up on the
 # enum class costs ten times as much, and the sums test the kind of every run
 _ORIGIN, _FREE, _SATELLITE = PointKind.ORIGIN, PointKind.FREE, PointKind.SATELLITE
+
+
+def _checked(total: int) -> int:
+    check_int64(total)
+    return total
 
 
 class Run(NamedTuple):
@@ -112,13 +117,13 @@ class MultiplicitySequence:
         return self.runs[0].multiplicity
 
     def sum_total(self) -> int:
-        return sum(m * count for m, count, _, _ in self.runs)
+        return _checked(sum(m * count for m, count, _, _ in self.runs))
 
     def sum_free(self) -> int:
-        return sum(m * count for m, count, kind, _ in self.runs if kind is _FREE)
+        return _checked(sum(m * count for m, count, kind, _ in self.runs if kind is _FREE))
 
     def sum_satellite(self) -> int:
-        return sum(m * count for m, count, kind, _ in self.runs if kind is _SATELLITE)
+        return _checked(sum(m * count for m, count, kind, _ in self.runs if kind is _SATELLITE))
 
 
 def _euclid_runs(a: int, b: int) -> list[tuple[int, int]]:
@@ -192,7 +197,7 @@ def multiplicity_sequence(c: CharacteristicExponents) -> MultiplicitySequence:
 
     Points carry their kind (origin / free / satellite) and the stage
     that produced them; the trailing multiplicity-1 points are included.
-    The rows of SEQUENCE_IDENTITIES are run before it is returned.
+    It runs the rows of SEQUENCE_IDENTITIES first, each sum checked to 64 bits.
     """
     seq = _build_sequence(c, {})
     check_rows(SEQUENCE_IDENTITIES, SimpleNamespace(c=c, seq=seq), subject=c)

@@ -221,8 +221,9 @@ class TestInt64Edges:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    def test_sieve_limit_is_named(self, capsys):
-        _, _, err = run(capsys, "invariants", "--pair", "2,1000000000000000001")
+    @pytest.mark.parametrize("pair", ["2,1000000000000000001", "2,9223372036854775807"])
+    def test_sieve_limit_is_named(self, capsys, pair):
+        _, _, err = run(capsys, "invariants", "--pair", pair)
         assert "SIEVE_LIMIT" in err
 
 

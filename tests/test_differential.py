@@ -201,6 +201,28 @@ def test_int64_edge_example_values():
         milnor_number(multiplicity_sequence(CharacteristicExponents(3, (INT64_MAX,))))
 
 
+@settings(max_examples=200, deadline=None)
+@given(huge_classes())
+@example(CharacteristicExponents(3, (2**62 + 1,)))  # mu = INT64_MAX + 1
+@example(CharacteristicExponents(3, (2**62 - 2,)))  # mu = INT64_MAX - 5
+@example(CharacteristicExponents(3, (INT64_MAX,)))
+@example(CharacteristicExponents(10, (576540315836020665, 1634362939506820639)))
+def test_run_sums_are_checked_at_their_exact_totals(c):
+    """The exact sum over the points when it fits in 64 bits, else an overflow error."""
+    for extra in (0, 1, 2, 5):
+        m = append_smooth_points(_build_sequence(c, {}), extra)
+        adjusted = [r.multiplicity + {"origin": 0, "free": 1, "satellite": 2}[r.kind.value]
+                    for r in m.runs]
+        mu = sum(r.count * r.multiplicity * (r.multiplicity - 1) for r in m.runs)
+        tau_minus = sum(r.count * (k - 2) * (k - 3) // 2 for r, k in zip(m.runs, adjusted))
+        for sum_of, want in ((milnor_number, mu), (mu_constant_stratum_dim, tau_minus)):
+            if want <= INT64_MAX:
+                assert sum_of(m) == want
+            else:
+                with pytest.raises(OverflowLimitError):
+                    sum_of(m)
+
+
 # one stage table across all drawn examples, so later examples hit stages
 # that earlier ones filled
 SHARED_STAGES: dict = {}
@@ -217,7 +239,7 @@ def stage_route(c):
 
 def run_sum_route(c):
     """The same values from the whole sequence, one run sum per quantity."""
-    m = multiplicity_sequence(c)
+    m = _build_sequence(c, {})
     return {"seq": m, **vars(_sequence_values(m, SimpleNamespace()))}
 
 

@@ -14,6 +14,7 @@ from branch_invariants import (
     EnumerationBounds,
     InternalInvariantViolation,
     MultiplicitySequence,
+    OverflowLimitError,
     PointKind,
     append_smooth_points,
     enumerate_classes,
@@ -89,6 +90,26 @@ class TestStructure:
             assert m.sum_total() == c.beta[-1] + c.n - 1
             assert c.n + m.sum_free() == c.beta[-1]
             assert m.sum_satellite() == c.n - 1
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_sums_out_of_64_bits_are_refused(self, n):
+        # sum_total is beta_g + n - 1, one or two past INT64_MAX
+        with pytest.raises(OverflowLimitError, match=str(INT64_MAX + n - 1)):
+            multiplicity_sequence(CharacteristicExponents(n, (INT64_MAX,)))
+
+    def test_sums_inside_64_bits_build(self):
+        m = multiplicity_sequence(CharacteristicExponents(2, (10**18 + 1,)))
+        assert m.sum_total() == 10**18 + 2
+
+    @pytest.mark.parametrize("kind", [PointKind.FREE, PointKind.SATELLITE])
+    def test_each_sum_is_checked_at_its_total(self, kind):
+        m = MultiplicitySequence(
+            (Run(2, 1, PointKind.ORIGIN, 1), Run(INT64_MAX // 2 + 1, 2, kind, 1))
+        )
+        by_kind = m.sum_free if kind is PointKind.FREE else m.sum_satellite
+        for total in (m.sum_total, by_kind):
+            with pytest.raises(OverflowLimitError):
+                total()
 
     def test_shape(self):
         for c in enumerate_classes(EnumerationBounds(10, 50)):

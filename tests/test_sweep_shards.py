@@ -24,8 +24,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import branch_invariants.enumeration as en
+import branch_invariants.invariants as inv
 import branch_invariants.selfcheck as sc
-from branch_invariants import EnumerationBounds, enumerate_classes, run_identity_suite, sweep
+from branch_invariants import (
+    EnumerationBounds,
+    PointKind,
+    enumerate_classes,
+    run_identity_suite,
+    sweep,
+)
 from branch_invariants.cli import (
     CSV_COLUMNS,
     SWEEP_TABLE_HEADER,
@@ -173,6 +180,22 @@ def test_check_names_the_first_failing_class_whatever_the_workers(monkeypatch):
     assert [(res.name, res.detail) for res in failed] == [
         ("from_n_5", "first failure at (5; 6): n = 5")
     ]
+
+
+@pytest.mark.parametrize("threads", [None, pytest.param("2", marks=forks)])
+def test_check_reports_a_failing_resolution_invariance(capsys, monkeypatch, threads):
+    real = inv._gap_term
+
+    def broken(p):  # a free point of multiplicity 1 adds 1, so appending changes the sum
+        return real(p) + (p.kind is PointKind.FREE and p.multiplicity == 1)
+
+    monkeypatch.setattr(inv, "_gap_term", broken)
+    monkeypatch.setattr(sc, "SIGMA_BOUND_LIMIT", 10)  # the scan is not under test
+    if threads:
+        monkeypatch.setenv(THREADS_ENV_VAR, threads)
+    assert main(["check", "--max-mult", "4", "--max-beta", "12"]) == 1
+    assert ("FAIL resolution_invariance: first failure at (2; 3): "
+            "changed after appending 1 points") in capsys.readouterr().out.splitlines()
 
 
 def test_unwritable_out_exits_2_before_any_work(capsys, monkeypatch, tmp_path):
