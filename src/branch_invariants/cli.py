@@ -324,16 +324,11 @@ def cmd_sweep(args) -> int:
 def cmd_check(args) -> int:
     bounds = EnumerationBounds(args.max_mult, args.max_beta)
     results = run_identity_suite(bounds)
-    first_failure = None
     for res in results:
-        if res.passed:
-            print(f"ok   {res.name}")
-        else:
-            print(f"FAIL {res.name}: {res.detail}")
-            if first_failure is None:
-                first_failure = res.name
-    if first_failure is not None:
-        print(f"first failing identity: {first_failure}")
+        print(f"ok   {res.name}" if res.passed else f"FAIL {res.name}: {res.detail}")
+    failed = [res.name for res in results if not res.passed]
+    if failed:
+        print(f"first failing identity: {failed[0]}")
         return 1
     return 0
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from types import SimpleNamespace
 
 from .errors import (
@@ -49,8 +50,9 @@ SIEVE_LIMIT = 2**22
 class CharacteristicExponents:
     """Validated characteristic exponents (n; beta_1, ..., beta_g).
 
-    Construction runs the full admissibility check and raises a
-    ValidationError subclass naming the first violated condition.
+    Construction runs the full admissibility check (check_int64 first: each
+    value exactly int, never a bool or numpy integer, and never coerced) and
+    raises a ValidationError subclass naming the first violated condition.
     """
 
     n: int
@@ -60,8 +62,7 @@ class CharacteristicExponents:
     gcd_chain: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "beta", tuple(int(b) for b in self.beta))
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "beta", tuple(self.beta))
         object.__setattr__(self, "gcd_chain", _validate_exponents(self.n, self.beta))
 
     @property
@@ -106,15 +107,19 @@ class SemigroupGenerators:
     Construction validates the plane-branch conditions: v_0 >= 2, the gcd
     chain e_i = gcd(v_0, ..., v_i) strictly decreases to 1, and each
     generator dominates its predecessor via (e_{i-1}/e_i) v_i < v_{i+1}.
+    Each v_i must be exactly int (check_int64): no bool, numpy integer or coercion.
     """
 
     gens: tuple[int, ...]
-    # (e_0, ..., e_g) with e_i = gcd(v_0, ..., v_i), kept from validation
+    # e_i = gcd(v_0, ..., v_i) for i <= g, and n_i = e_{i-1}/e_i, kept from validation
     gcd_chain: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    multipliers: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "gens", tuple(int(v) for v in self.gens))
-        object.__setattr__(self, "gcd_chain", _validate_generators(self.gens))
+        object.__setattr__(self, "gens", tuple(self.gens))
+        chain, mult = _validate_generators(self.gens)
+        object.__setattr__(self, "gcd_chain", chain)
+        object.__setattr__(self, "multipliers", mult)
 
     @property
     def n(self) -> int:
@@ -124,36 +129,27 @@ class SemigroupGenerators:
     def g(self) -> int:
         return len(self.gens) - 1
 
-    @property
-    def multipliers(self) -> tuple[int, ...]:
-        """(n_1, ..., n_g) with n_i = e_{i-1}/e_i."""
-        chain = self.gcd_chain
-        return tuple(chain[i - 1] // chain[i] for i in range(1, len(chain)))
-
     def __str__(self) -> str:
         return f"<{', '.join(str(v) for v in self.gens)}>"
 
 
-def _validate_generators(gens: tuple[int, ...]) -> tuple[int, ...]:
-    """The gcd chain of gens, once every plane-branch condition holds."""
+def _validate_generators(gens: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The gcd chain and multipliers of gens, once every plane-branch condition holds."""
     check_int64(*gens)
     if len(gens) < 2 or gens[0] < 2:
         raise NotSingularError(
             f"generators {echo_plain(list(gens))} describe a smooth branch; "
             f"need v_0 >= 2 and at least two generators"
         )
-    n = gens[0]
-    if gens[1] <= n:
+    if gens[1] <= gens[0]:
         raise NonIncreasingError(
-            f"v_1 = {gens[1]} must exceed the multiplicity v_0 = {n}"
+            f"v_1 = {gens[1]} must exceed the multiplicity v_0 = {gens[0]}"
         )
-    chain = [n]
-    for v in gens[1:]:
-        chain.append(math.gcd(chain[-1], v))
+    chain = list(accumulate(gens, math.gcd))
+    mult = tuple(e // e_next for e, e_next in zip(chain, chain[1:]))
     # the domination inequality is diagnosed first: inputs like <4, 6, 12>
     # fail several conditions at once and the useful message is this one
-    for i in range(1, len(gens) - 1):
-        n_i = chain[i - 1] // chain[i]
+    for i, n_i in enumerate(mult[:-1], start=1):
         check_int64(n_i * gens[i])
         if n_i * gens[i] >= gens[i + 1]:
             raise NotPlaneError(
@@ -167,7 +163,7 @@ def _validate_generators(gens: tuple[int, ...]) -> tuple[int, ...]:
             )
     if chain[-1] != 1:
         raise GcdNotOneError(f"gcd of all generators is {chain[-1]}, not 1")
-    return tuple(chain)
+    return tuple(chain), mult
 
 
 def validate_char_exponents(n: int, beta) -> CharacteristicExponents:
@@ -201,10 +197,9 @@ def semigroup_from_char_exponents(c: CharacteristicExponents) -> SemigroupGenera
 
 def _exponents_from_generators(s: SemigroupGenerators) -> CharacteristicExponents:
     """Solve v_{i+1} = n_i v_i - beta_i + beta_{i+1} for the exponents."""
-    mult = s.multipliers
     beta = [s.gens[1]]
     for i in range(1, s.g):
-        beta.append(s.gens[i + 1] - mult[i - 1] * s.gens[i] + beta[i - 1])
+        beta.append(s.gens[i + 1] - s.multipliers[i - 1] * s.gens[i] + beta[i - 1])
     return CharacteristicExponents(s.gens[0], tuple(beta))
 
 

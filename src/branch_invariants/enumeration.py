@@ -58,8 +58,9 @@ class EnumerationBounds:
 
     max_multiplicity bounds n, max_beta bounds the largest exponent, and
     max_pairs (None for unbounded) bounds the number of characteristic
-    pairs.  Each must fit in signed 64 bits (OverflowLimitError); a box
-    inside that range is not bounded further, and may take long to sweep.
+    pairs.  Each must be exactly int (not a bool or numpy integer) in signed
+    64 bits, by check_int64; a box inside that range is not bounded further,
+    and may take long to sweep.
     """
 
     max_multiplicity: int
@@ -67,7 +68,8 @@ class EnumerationBounds:
     max_pairs: int | None = None
 
     def __post_init__(self) -> None:
-        check_int64(self.max_multiplicity, self.max_beta, self.max_pairs or 0)
+        check_int64(self.max_multiplicity, self.max_beta,
+                    0 if self.max_pairs is None else self.max_pairs)
         if self.max_multiplicity < 2:
             raise DomainError(
                 f"max multiplicity must be at least 2, got {self.max_multiplicity}"
@@ -169,18 +171,14 @@ def _worker_count(requested: int | None = None) -> int:
             raise DomainError(
                 f"{THREADS_ENV_VAR} must be a positive integer, got {echo(raw)}"
             ) from None
+    else:
+        check_int64(requested)
     if requested < 1:
         raise DomainError(f"{THREADS_ENV_VAR} must be positive, got {echo_plain(requested)}")
     return min(requested, os.cpu_count() or 1)
 
 
-_worker_table: dict = {}  # a pool worker's stage table, for the pool's life
-
-
-def _start_worker() -> None:
-    """Pool initializer: Ctrl-C is the parent's to handle, and the table starts empty."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    _worker_table.clear()
+_worker_table: dict = {}  # a pool worker's stage table for the pool's life; empty in the parent
 
 
 def _run_prefixes(run, bounds, prefixes, table: dict = _worker_table):
@@ -198,7 +196,9 @@ def _walk(bounds: EnumerationBounds, run: Callable, workers: int | None) -> list
     prefixes = list(_prefixes(bounds))
     if count > 1 and len(prefixes) > 1:
         tasks = [prefixes[i:i + TASK_PREFIXES] for i in range(0, len(prefixes), TASK_PREFIXES)]
-        pool = ProcessPoolExecutor(count, initializer=_start_worker)
+        # Ctrl-C is the parent's to handle
+        pool = ProcessPoolExecutor(count, initializer=signal.signal,
+                                   initargs=(signal.SIGINT, signal.SIG_IGN))
         try:
             return list(pool.map(_run_prefixes, repeat(run), repeat(bounds), tasks))
         finally:

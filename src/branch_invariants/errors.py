@@ -66,8 +66,14 @@ class NegativeGapCountError(InternalInvariantViolation):
 
 
 def check_int64(*values: int) -> None:
-    """Raise OverflowLimitError unless every value fits in signed 64 bits."""
+    """The package's one integer rule: each value exactly an int, in signed 64 bits.
+
+    A float, str, bool or numpy integer raises DomainError naming its type,
+    before the range test, which raises OverflowLimitError.
+    """
     for v in values:
+        if type(v) is not int:
+            raise DomainError(f"expected an int, got {type(v).__name__} {echo_plain(repr(v))}")
         if v < INT64_MIN or v > INT64_MAX:
             raise OverflowLimitError(f"value {echo_plain(v)} exceeds the signed 64-bit range")
 

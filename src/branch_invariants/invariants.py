@@ -82,6 +82,7 @@ def moduli_dim_term(k: int) -> int:
 
     (k-2)(k-4)/4 for even k, (k-3)^2/4 for odd k; defined for k >= 2.
     """
+    check_int64(k)
     if k < 2:
         raise DomainError(f"moduli term needs k >= 2, got {k}")
     check_int64(k * k)
@@ -221,6 +222,7 @@ def tjurina_lower_bound(n: int) -> int:
     3n^2/4 - 1 for even n, 3(n^2 - 1)/4 for odd n; attained exactly by
     the class of one pair (n; n + 1).
     """
+    check_int64(n)
     if n < 2:
         raise DomainError(f"lower bound needs multiplicity >= 2, got {n}")
     check_int64(n * n)
@@ -285,7 +287,7 @@ def dimca_greuel_margin(r: InvariantReport) -> int:
 
     Any record with mu and tau_min fields will do, not only a report.
     """
-    check_int64(4 * r.tau_min, 3 * r.mu)
+    check_int64(r.tau_min, r.mu, 4 * r.tau_min, 3 * r.mu)
     return 4 * r.tau_min - 3 * r.mu
 
 

@@ -212,6 +212,7 @@ def append_smooth_points(m: MultiplicitySequence, k: int) -> MultiplicitySequenc
     asserted here.  Invariants computed from the sequence are unchanged
     because multiplicity-1 free points contribute zero everywhere.
     """
+    check_int64(k)
     if k < 0:
         raise DomainError(f"cannot append {k} points")
     stage = m.runs[-1].stage

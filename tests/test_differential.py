@@ -178,10 +178,15 @@ def huge_classes(draw) -> CharacteristicExponents:
 @example(CharacteristicExponents(2, (10**18 + 1,)))
 @example(CharacteristicExponents(3037000499, (3037000500,)))
 @example(CharacteristicExponents(3, (INT64_MAX,)))
+@example(CharacteristicExponents(2, (INT64_MAX,)))  # mu = tau_min = INT64_MAX - 1
 def test_runs_reach_the_int64_edges(c):
-    """No sieve and no expansion: closed forms only, or an overflow error."""
+    """No sieve and no expansion: closed forms only, or an overflow error.
+
+    The sequence is built without its checked sums, so mu and tau_min are
+    reached even where multiplicity_sequence refuses the class.
+    """
     try:
-        m = multiplicity_sequence(c)
+        m = _build_sequence(c, {})
         mu = milnor_number(m)
         tau_min = minimal_tjurina(m)
         bound = tjurina_lower_bound(c.n)
@@ -197,8 +202,13 @@ def test_int64_edge_example_values():
     m = multiplicity_sequence(CharacteristicExponents(2, (10**18 + 1,)))
     assert milnor_number(m) == 10**18
     assert len(m.runs) == 4
+    edge = CharacteristicExponents(3, (INT64_MAX,))
     with pytest.raises(OverflowLimitError):
-        milnor_number(multiplicity_sequence(CharacteristicExponents(3, (INT64_MAX,))))
+        multiplicity_sequence(edge)  # its sum of multiplicities leaves 64 bits
+    with pytest.raises(OverflowLimitError):
+        milnor_number(_build_sequence(edge, {}))
+    m = _build_sequence(CharacteristicExponents(2, (INT64_MAX,)), {})
+    assert milnor_number(m) == minimal_tjurina(m) == INT64_MAX - 1
 
 
 @settings(max_examples=200, deadline=None)

@@ -150,6 +150,17 @@ def test_worker_tables_live_for_one_sweep(monkeypatch):
     assert "tau_min_double_computation failed" in failed[0].error
 
 
+def test_the_parent_never_fills_the_worker_table(monkeypatch):
+    """Serial runs get a new table and pool tasks use their worker's: the parent's stays empty."""
+    monkeypatch.setattr(sc, "SIGMA_BOUND_LIMIT", 10)  # the scan is not under test
+    bounds = EnumerationBounds(6, 24)
+    for threads in ("1", "2"):
+        monkeypatch.setenv(THREADS_ENV_VAR, threads)
+        sweep(bounds)
+        run_identity_suite(bounds)
+        assert en._worker_table == {}
+
+
 @pytest.mark.parametrize("threads", ["x", "0"])
 def test_check_refuses_a_bad_thread_count_as_sweep_does(capsys, monkeypatch, threads):
     monkeypatch.setenv(THREADS_ENV_VAR, threads)
