@@ -15,12 +15,13 @@ num/den plus fixed 6-place decimal string), csv (fixed column order,
 lists joined by ';', no quoting needed).  All output is UTF-8 and ends
 with a newline.  The multiplicity sequence is rendered one run at a time,
 each run's text repeated once per point, so it reads as if written point
-by point; a point's JSON item comes from one template, byte-equal to
-json.dumps.  sweep hands a row renderer down, so pool workers render the
-rows and the parent joins them (JSON records spliced in as the points
-of cmd_invariants are).  --out is opened before any work, but truncated
-only once the whole text is ready, so a failed sweep leaves it as it was;
-a file that only this opening made is removed again.
+by point.  Every JSON document and sweep record is laid out by %- and
+f-string templates, byte-equal to json.dumps(indent=2) of the same dicts;
+json.dumps itself only quotes a failed record's error.  sweep hands a row
+renderer down, so pool workers render the rows and the parent joins them
+between the document's head and tail.  --out is opened before any work,
+but truncated only once the whole text is ready, so a failed sweep leaves
+it as it was; a file that only this opening made is removed again.
 Error messages quote an input in at most errors.ECHO_LIMIT + 2
 characters, escapes included; argparse's errors are its one "prog: error:
 message" line, without usage, and a value it quoted is cut by the value's
@@ -104,6 +105,7 @@ def _class_from_args(args) -> CharacteristicExponents:
 
 
 def _report_dict(r: InvariantReport) -> dict:
+    """The report's JSON object, as a dict: the shape _json_report lays out."""
     return {
         "n": r.n,
         "mu": r.mu,
@@ -121,21 +123,85 @@ def _report_dict(r: InvariantReport) -> dict:
 
 
 def _class_dict(c: CharacteristicExponents) -> dict:
+    """The class's JSON object, as a dict: the shape _json_class lays out."""
     return {"n": c.n, "beta": list(c.beta)}
 
 
-def _repeated(m: MultiplicitySequence, render, sep: str) -> str:
-    """Every point as render(its run), sep between points.
+def _repeated(m: MultiplicitySequence, render, sep: str, head: str = "", tail: str = "") -> str:
+    """head, every point as render(its run) with sep between points, then tail.
 
-    Each run is rendered once and its text repeated, so the cost per
-    point is a string copy, not a Python call.
+    Each run is rendered once and written as (text + sep) * count, the
+    last point without its sep, and the pieces are joined once: the cost
+    per point is a string copy, not a Python call.
     """
-    return sep.join(sep.join([render(run)] * run.count) for run in m.runs)
+    *runs, last = m.runs
+    text = render(last)
+    return "".join([head, *[(render(run) + sep) * run.count for run in runs],
+                    (text + sep) * (last.count - 1), text, tail])
 
 
 def _json_item(obj) -> str:
     """obj as json.dumps(indent=2) lays it out in a list under a top-level key."""
     return json.dumps(obj, indent=2).replace("\n", "\n    ")
+
+
+# json.dumps(indent=2) layouts as % templates, written as if at the top
+# level; _at(template, depth) indents one for its place depth levels in.
+# Every value is an int, a template of its own, or a string with nothing
+# to escape, except a failed record's error, which json.dumps quotes.
+_CLASS = '{\n  "n": %d,\n  "beta": %s\n}'
+_QUOTIENT = '{\n  "num": %d,\n  "den": %d,\n  "decimal": "%s"\n}'
+_REPORT = ('{\n  "n": %d,\n  "mu": %d,\n  "tau_minus": %d,\n  "q_min": %d,\n  "tau_min": %d,'
+           '\n  "quotient": %s,\n  "tau_lower_bound": %d,\n  "delta_gen_gaps": %d\n}')
+_RECORD = ('{\n  "char_exponents": %s,\n  "semigroup": %s,\n  "report": %s,'
+           '\n  "checks": %s,\n  "error": %s\n}')
+# whole documents: the text before and after the list of points or records
+_INVARIANTS_HEAD = ('{\n  "char_exponents": %s,\n  "semigroup": %s,'
+                    '\n  "multiplicity_sequence": [\n    ')
+_INVARIANTS_TAIL = '\n  ],\n  "report": %s\n}\n'
+_SWEEP_HEAD = ('{\n  "bounds": {\n    "max_multiplicity": %d,\n    "max_beta": %d,'
+               '\n    "max_pairs": %s\n  },\n  "records": [\n    ')
+_SWEEP_TAIL = ('\n  ],\n  "summary": {\n    "classes": %d,\n    "max_quotient": %s,'
+               '\n    "failed_checks": %d\n  }\n}\n')
+_ITEM_SEP = ",\n    "  # between the items of a top-level key's list
+
+
+@functools.cache
+def _at(template: str, depth: int) -> str:
+    """template, laid out at the top level, as it reads depth levels in."""
+    return template.replace("\n", "\n" + "  " * depth)
+
+
+def _json_ints(values, depth: int) -> str:
+    """json.dumps(list(values), indent=2), depth levels in."""
+    if not values:
+        return "[]"
+    pad = "\n" + "  " * depth
+    return f"[{pad}  " + f",{pad}  ".join(map(str, values)) + f"{pad}]"
+
+
+def _json_class(c: CharacteristicExponents, depth: int) -> str:
+    return _at(_CLASS, depth) % (c.n, _json_ints(c.beta, depth + 1))
+
+
+def _json_quotient(num: int, den: int, depth: int) -> str:
+    return _at(_QUOTIENT, depth) % (num, den, decimal_ratio(num, den))
+
+
+def _json_report(r: InvariantReport, depth: int) -> str:
+    return _at(_REPORT, depth) % (
+        r.n, r.mu, r.tau_minus, r.q_min, r.tau_min,
+        _json_quotient(r.quotient_num, r.quotient_den, depth + 1),
+        r.tau_lower_bound, r.delta_gen_gaps,
+    )
+
+
+@functools.cache
+def _json_checks(names: tuple[str, ...], passed: bool, depth: int) -> str:
+    """json.dumps(dict.fromkeys(names, passed), indent=2), depth levels in (names are words)."""
+    pad = "\n" + "  " * depth
+    flag = "true" if passed else "false"
+    return "{" + ",".join(f'{pad}  "{name}": {flag}' for name in names) + pad + "}"
 
 
 def _json_point(run: Run) -> str:
@@ -144,18 +210,12 @@ def _json_point(run: Run) -> str:
             f'\n      "stage": {run.stage}\n    }}')
 
 
-def _spliced(doc: dict, key: str, items: list[str]) -> str:
-    """_json_text(doc), its empty list doc[key] filled in one join with items (at least one)."""
-    head, tail = _json_text(doc).split(f'"{key}": []', 1)
-    return "".join([head, f'"{key}": [\n    ', ",\n    ".join(items), "\n  ]", tail])
-
-
 def _table_point(run: Run) -> str:
     return f"  stage {run.stage}  {run.multiplicity:>3}  {run.kind.value}"
 
 
-def _sequence_compact(m: MultiplicitySequence) -> str:
-    return _repeated(m, lambda run: f"{run.multiplicity}{run.kind.value[0]}", ";")
+def _compact_point(run: Run) -> str:
+    return f"{run.multiplicity}{run.kind.value[0]}"
 
 
 def _record_row(rec: SweepRecord) -> list[str]:
@@ -179,32 +239,23 @@ def _csv_row(rec: SweepRecord) -> str:
     return ",".join(_record_row(rec))
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
-
-
 def _invariants_table(
     c: CharacteristicExponents,
     s: SemigroupGenerators,
     m: MultiplicitySequence,
     r: InvariantReport,
 ) -> str:
-    lines = [
-        f"class            {c}",
-        f"semigroup        {s}",
-        "multiplicity sequence:",
-    ]
-    lines.append(_repeated(m, _table_point, "\n"))
-    lines += [
-        f"mu               {r.mu}",
-        f"tau_minus        {r.tau_minus}",
-        f"q_min            {r.q_min}",
-        f"tau_min          {r.tau_min}",
-        f"mu/tau_min       {r.quotient_num}/{r.quotient_den} = {r.quotient_decimal()}",
-        f"tau lower bound  {r.tau_lower_bound}",
-        f"delta_gen gaps   {r.delta_gen_gaps}",
-    ]
-    return "\n".join(lines) + "\n"
+    head = f"class            {c}\nsemigroup        {s}\nmultiplicity sequence:\n"
+    tail = "".join([
+        f"\nmu               {r.mu}",
+        f"\ntau_minus        {r.tau_minus}",
+        f"\nq_min            {r.q_min}",
+        f"\ntau_min          {r.tau_min}",
+        f"\nmu/tau_min       {r.quotient_num}/{r.quotient_den} = {r.quotient_decimal()}",
+        f"\ntau lower bound  {r.tau_lower_bound}",
+        f"\ndelta_gen gaps   {r.delta_gen_gaps}\n",
+    ])
+    return _repeated(m, _table_point, "\n", head, tail)
 
 
 def cmd_invariants(args) -> int:
@@ -214,20 +265,15 @@ def cmd_invariants(args) -> int:
     s = semigroup_from_char_exponents(c)
     m = multiplicity_sequence(c)
     if args.format == "json":
-        doc = {
-            "char_exponents": _class_dict(c),
-            "semigroup": list(s.gens),
-            "multiplicity_sequence": [],  # spliced in below, run by run
-            "report": _report_dict(r),
-        }
-        points = _repeated(m, _json_point, ",\n    ")
-        sys.stdout.write(_spliced(doc, "multiplicity_sequence", [points]))
+        head = _INVARIANTS_HEAD % (_json_class(c, 1), _json_ints(s.gens, 1))
+        text = _repeated(m, _json_point, _ITEM_SEP, head, _INVARIANTS_TAIL % _json_report(r, 1))
     elif args.format == "csv":
         header = ",".join(CSV_COLUMNS + ["multiplicity_sequence"])
-        row = _csv_row(SweepRecord(c, s, r)) + "," + _sequence_compact(m)
-        sys.stdout.write(f"{header}\n{row}\n")
+        row = _csv_row(SweepRecord(c, s, r))
+        text = _repeated(m, _compact_point, ";", f"{header}\n{row},", "\n")
     else:
-        sys.stdout.write(_invariants_table(c, s, m, r))
+        text = _invariants_table(c, s, m, r)
+    sys.stdout.write(text)
     return 0
 
 
@@ -250,13 +296,15 @@ def _table_row(rec: SweepRecord) -> str:
 
 
 def _json_record(rec: SweepRecord) -> str:
-    return _json_item({
-        "char_exponents": _class_dict(rec.char_exponents),
-        "semigroup": list(rec.semigroup.gens) if rec.semigroup else None,
-        "report": _report_dict(rec.report) if rec.report else None,
-        "checks": rec.checks,
-        "error": rec.error,
-    })
+    """_json_item of the record's dict, from templates; json.dumps only quotes error."""
+    c, s, r = rec.char_exponents, rec.semigroup, rec.report
+    return _at(_RECORD, 2) % (
+        _json_class(c, 3),
+        "null" if s is None else _json_ints(s.gens, 3),
+        "null" if r is None else _json_report(r, 3),
+        _json_checks(tuple(rec.checks), rec.passed, 3),
+        "null" if rec.error is None else json.dumps(rec.error),
+    )
 
 
 # per --format: the row renderer sweep hands its workers (it pickles), the header
@@ -272,24 +320,11 @@ def _sweep_text(fmt: str, bounds: EnumerationBounds, rows: list[str], summary) -
     if header is not None:
         return "\n".join([header, *rows]) + "\n"
     q = summary.max_quotient
-    doc = {
-        "bounds": {
-            "max_multiplicity": bounds.max_multiplicity,
-            "max_beta": bounds.max_beta,
-            "max_pairs": bounds.max_pairs,
-        },
-        "records": [],  # spliced in below, record by record
-        "summary": {
-            "classes": summary.classes,
-            "max_quotient": {
-                "num": q.numerator,
-                "den": q.denominator,
-                "decimal": decimal_ratio(q.numerator, q.denominator),
-            },
-            "failed_checks": summary.failed,
-        },
-    }
-    return _spliced(doc, "records", rows)
+    pairs = "null" if bounds.max_pairs is None else bounds.max_pairs
+    head = _SWEEP_HEAD % (bounds.max_multiplicity, bounds.max_beta, pairs)
+    tail = _SWEEP_TAIL % (summary.classes, _json_quotient(q.numerator, q.denominator, 2),
+                          summary.failed)
+    return "".join([head, _ITEM_SEP.join(rows), tail])
 
 
 def cmd_sweep(args) -> int:
