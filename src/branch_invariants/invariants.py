@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from types import SimpleNamespace
 from typing import Callable
 
@@ -70,11 +69,11 @@ from .resolution import (
 
 
 def decimal_ratio(num: int, den: int) -> str:
-    """num/den rendered to exactly 6 decimal places, ties to even."""
-    with localcontext() as ctx:
-        ctx.prec = 50
-        q = Decimal(num) / Decimal(den)
-        return str(q.quantize(Decimal("1e-6"), rounding=ROUND_HALF_EVEN))
+    """num/den rendered to exactly 6 decimal places, ties to even; num >= 0, den >= 1."""
+    q, r = divmod(num * 10**6, den)
+    if 2 * r > den or (2 * r == den and q % 2):
+        q += 1
+    return f"{q // 10**6}.{q % 10**6:06d}"
 
 
 def moduli_dim_term(k: int) -> int:

@@ -1,16 +1,28 @@
 """Independent reference computations used only by the tests.
 
-Nothing here shares algorithms with the package: multiplicity sequences
-come from simulating blow-ups on an exact Puiseux parameterization,
-semigroup gaps from growing the member set generator by generator, and
-enumeration from filtering raw tuples.  Agreement between these and the
+Apart from the last two, nothing here shares algorithms with the
+package: multiplicity sequences come from simulating blow-ups on an
+exact Puiseux parameterization, semigroup gaps from growing the member
+set generator by generator, and enumeration from filtering raw tuples.  Agreement between these and the
 package is what the derived test values rest on.
+
+The last two are earlier package routes, kept here to pin the faster
+ones that replaced them: rendering a ratio through a 50-digit Decimal,
+and checking resolution invariance on sequences rebuilt with appended
+smooth points.
 """
 
 from __future__ import annotations
 
 import math
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from itertools import combinations
+from types import SimpleNamespace
+
+from branch_invariants import enumerate_classes
+from branch_invariants.errors import InternalInvariantViolation
+from branch_invariants.invariants import _evaluate, _sequence_values
+from branch_invariants.resolution import append_smooth_points
 
 # arithmetic over GF(P): exact, fast, and an accidental zero would need a
 # true value divisible by this prime, which the small prime coefficients
@@ -175,3 +187,31 @@ def brute_force_classes(max_mult: int, max_beta: int, max_pairs: int | None = No
                     found.append((n, betas))
     found.sort()
     return found
+
+
+def decimal_ratio_reference(num: int, den: int) -> str:
+    """num/den through a 50-digit Decimal, quantized half-even to 6 places."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        q = Decimal(num) / Decimal(den)
+        return str(q.quantize(Decimal("1e-6"), rounding=ROUND_HALF_EVEN))
+
+
+def resolution_invariance_reference(bounds) -> tuple[bool, str]:
+    """(passed, detail) of resolution_invariance over bounds, on rebuilt sequences.
+
+    Each class that passes the evaluation pass has its sequence rebuilt
+    with k = 1, 2, 5 smooth points appended, and every quantity of the
+    rebuilt one is compared with the pass's; the detail names the first
+    class that differs, in enumeration order.
+    """
+    for c in enumerate_classes(bounds):
+        try:
+            v = _evaluate(c, {})
+        except InternalInvariantViolation:
+            continue
+        for k in (1, 2, 5):
+            ext = _sequence_values(append_smooth_points(v.seq, k), SimpleNamespace())
+            if any(value != getattr(v, key) for key, value in vars(ext).items()):
+                return False, f"first failure at {c}: changed after appending {k} points"
+    return True, ""

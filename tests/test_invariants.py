@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from branch_invariants import (
     CharacteristicExponents,
@@ -35,7 +37,8 @@ from branch_invariants.invariants import (
     _minimal_tjurina_formula,
     decimal_ratio,
 )
-from oracles import naive_conductor_and_gaps
+from branch_invariants.errors import INT64_MAX
+from oracles import decimal_ratio_reference, naive_conductor_and_gaps
 
 
 def family(max_mult, max_beta):
@@ -258,3 +261,8 @@ class TestDecimalRendering:
     )
     def test_half_even(self, num, den, text):
         assert decimal_ratio(num, den) == text
+
+
+@given(st.integers(0, INT64_MAX), st.integers(1, INT64_MAX))
+def test_decimal_ratio_matches_the_decimal_reference(num, den):
+    assert decimal_ratio(num, den) == decimal_ratio_reference(num, den)

@@ -44,7 +44,7 @@ from branch_invariants.cli import (
 )
 from branch_invariants.enumeration import THREADS_ENV_VAR, _prefixes, _subtrees
 from branch_invariants.invariants import decimal_ratio
-from oracles import brute_force_classes
+from oracles import brute_force_classes, resolution_invariance_reference
 from test_stages import break_sigma
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -206,6 +206,56 @@ def test_check_reports_a_failing_resolution_invariance(capsys, monkeypatch, thre
         monkeypatch.setenv(THREADS_ENV_VAR, threads)
     assert main(["check", "--max-mult", "4", "--max-beta", "12"]) == 1
     assert ("FAIL resolution_invariance: first failure at (2; 3): "
+            "changed after appending 1 points") in capsys.readouterr().out.splitlines()
+
+
+def break_gap_term(monkeypatch):
+    """A free point of multiplicity 1 adds 1 to the gap count, so appending changes it."""
+    real = inv._gap_term
+    monkeypatch.setattr(
+        inv, "_gap_term", lambda p: real(p) + (p.kind is PointKind.FREE and p.multiplicity == 1)
+    )
+
+
+def break_stage_table(monkeypatch):
+    """The stage-table tau- and q_min one too large at n = 5; tau_min's two routes still agree."""
+    real = inv._stage_sums
+
+    def shifted(v, table):
+        real(v, table)
+        if v.n == 5:
+            v.tau_minus += 1
+            v.q_min += 1
+
+    monkeypatch.setattr(inv, "_stage_sums", shifted)
+
+
+@pytest.mark.parametrize("mutant, first_failure", [
+    (None, None),
+    (break_gap_term, "(2; 3)"),
+    (break_stage_table, "(5; 6)"),
+])
+def test_resolution_invariance_matches_the_rebuilt_sequences(monkeypatch, mutant, first_failure):
+    monkeypatch.setattr(sc, "SIGMA_BOUND_LIMIT", 10)  # the scan is not under test
+    if mutant:
+        mutant(monkeypatch)
+    bounds = EnumerationBounds(8, 40)
+    [result] = [r for r in run_identity_suite(bounds) if r.name == "resolution_invariance"]
+    assert (result.passed, result.detail) == resolution_invariance_reference(bounds)
+    if first_failure:
+        assert result.detail == (f"first failure at {first_failure}: "
+                                 "changed after appending 1 points")
+
+
+@pytest.mark.parametrize("threads", [None, pytest.param("2", marks=forks)])
+def test_check_reports_stage_sums_that_differ_from_the_whole_sequence(
+        capsys, monkeypatch, threads):
+    break_stage_table(monkeypatch)
+    monkeypatch.setattr(sc, "SIGMA_BOUND_LIMIT", 10)  # the scan is not under test
+    if threads:
+        monkeypatch.setenv(THREADS_ENV_VAR, threads)
+    assert main(["check", "--max-mult", "8", "--max-beta", "40"]) == 1
+    assert ("FAIL resolution_invariance: first failure at (5; 6): "
             "changed after appending 1 points") in capsys.readouterr().out.splitlines()
 
 
