@@ -16,14 +16,15 @@ For the sweep and the identity suite (selfcheck) alike, workers walk
 runs of consecutive prefixes themselves and send back only rows and
 counts, or first failures; runs are joined in prefix order, which is
 enumeration order, so output is byte-identical with and without workers.
+A box of one task (at most TASK_PREFIXES prefixes) runs serially
+whatever the worker count, at most one worker starts per task, and the
+pool's modules load on the first parallel walk, not on import.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import signal
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -189,15 +190,18 @@ def _run_prefixes(run, bounds, prefixes, table: dict = _worker_table):
 def _walk(bounds: EnumerationBounds, run: Callable, workers: int | None) -> list:
     """run(classes, table) on runs of prefixes of bounds, the results in prefix order.
 
-    Serially: one run, one new table.  A pool task: TASK_PREFIXES prefixes
-    on its worker's table.  An error or Ctrl-C cancels the tasks not started.
+    Serially: one run, one new table.  A pool of at most one worker per
+    task, for two tasks or more: TASK_PREFIXES prefixes a task, on its
+    worker's table.  An error or Ctrl-C cancels the tasks not started.
     """
     count = _worker_count(workers)
     prefixes = list(_prefixes(bounds))
-    if count > 1 and len(prefixes) > 1:
+    if count > 1 and len(prefixes) > TASK_PREFIXES:
+        import signal  # the pool's modules load here: a serial command imports none
+        from concurrent.futures import ProcessPoolExecutor
         tasks = [prefixes[i:i + TASK_PREFIXES] for i in range(0, len(prefixes), TASK_PREFIXES)]
         # Ctrl-C is the parent's to handle
-        pool = ProcessPoolExecutor(count, initializer=signal.signal,
+        pool = ProcessPoolExecutor(min(count, len(tasks)), initializer=signal.signal,
                                    initargs=(signal.SIGINT, signal.SIG_IGN))
         try:
             return list(pool.map(_run_prefixes, repeat(run), repeat(bounds), tasks))

@@ -4,9 +4,15 @@ main reuses one argument parser for the life of the process, so a call
 must behave as if the parser were new.  A failed sweep leaves --out as
 it was.  Error messages quote a bounded prefix of a long input.  A JSON
 point comes from a template that must equal json.dumps byte for byte.
+A fresh process loads the pool's modules only for a parallel walk.
 """
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -153,3 +159,50 @@ class TestEchoedInput:
     def test_short_argument_is_quoted_whole(self, capsys):
         _, _, err = handled(capsys, ["invariants", "--pair", "5,7,9"])
         assert err == "error: --pair needs exactly two integers, got '5,7,9'\n"
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+POOL_MODULES = ("concurrent.futures", "multiprocessing")
+# main(argv) in a fresh interpreter, then the pool modules loaded, on stderr's last line
+CHILD = """
+import sys
+from branch_invariants.cli import main
+code = 0 if {argv!r} is None else main({argv!r})
+print(*[m for m in {modules!r} if m in sys.modules], file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def fresh_process(argv, threads=None) -> tuple[str, list[str]]:
+    """stdout of main(argv) in a new interpreter (import only for None), and the pool modules it loaded."""
+    env = {k: v for k, v in os.environ.items() if k != THREADS_ENV_VAR}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    if threads:
+        env[THREADS_ENV_VAR] = threads
+    done = subprocess.run([sys.executable, "-c", CHILD.format(argv=argv, modules=POOL_MODULES)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout, done.stderr.splitlines()[-1].split()
+
+
+def sweep_argv(max_mult, max_beta):
+    return ["sweep", "--max-mult", str(max_mult), "--max-beta", str(max_beta), "--format", "csv"]
+
+
+class TestPoolLoadsOnlyWhereItRuns:
+    @pytest.mark.parametrize("argv, threads", [
+        (None, None),
+        (["invariants", "--pair", "5,7", "--format", "json"], None),
+        (sweep_argv(8, 40), None),
+        (sweep_argv(3, 8), "2"),  # 7 prefixes: one pool task
+    ], ids=["import", "invariants", "serial-sweep", "one-task-sweep"])
+    def test_no_pool_module_is_loaded(self, argv, threads):
+        out, loaded = fresh_process(argv, threads)
+        assert loaded == []
+        assert argv is None or out
+
+    def test_a_parallel_sweep_loads_the_pool_and_prints_the_serial_csv(self):
+        serial, _ = fresh_process(sweep_argv(8, 40))
+        parallel, loaded = fresh_process(sweep_argv(8, 40), "2")
+        assert loaded == list(POOL_MODULES)
+        assert parallel == serial

@@ -3,11 +3,14 @@
 Rendered output must equal the document the standard library builds
 from sweep()'s records, serially and with pool workers; the prefix
 enumeration must equal the brute-force one; Ctrl-C and an unwritable
---out must each end in one stderr line and a documented exit code.
+--out must each end in one stderr line and a documented exit code.  A
+box of one pool task runs serially, and a pool has one worker per task
+at most.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import io
 import json
@@ -161,17 +164,56 @@ def test_the_parent_never_fills_the_worker_table(monkeypatch):
         assert en._worker_table == {}
 
 
+@pytest.mark.parametrize("box", [(4, 12), (3, 5)])  # (3, 5) is one pool task
 @pytest.mark.parametrize("threads", ["x", "0"])
-def test_check_refuses_a_bad_thread_count_as_sweep_does(capsys, monkeypatch, threads):
+def test_check_refuses_a_bad_thread_count_as_sweep_does(capsys, monkeypatch, threads, box):
     monkeypatch.setenv(THREADS_ENV_VAR, threads)
     lines = []
     for command in ("sweep", "check"):
-        assert main([command, "--max-mult", "4", "--max-beta", "12"]) == 2
+        assert main([command, "--max-mult", str(box[0]), "--max-beta", str(box[1])]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
         lines.append(captured.err)
     assert lines[0] == lines[1]
     assert lines[0].startswith(f"error: {THREADS_ENV_VAR} must be")
+
+
+def test_a_box_of_one_task_starts_no_pool(monkeypatch):
+    monkeypatch.setattr(sc, "SIGMA_BOUND_LIMIT", 10)  # the scan is not under test
+    bounds = EnumerationBounds(3, 8)
+    assert en.TASK_PREFIXES >= len(list(_prefixes(bounds))) > 1
+    serial = sweep(bounds, workers=1), run_identity_suite(bounds)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setenv(THREADS_ENV_VAR, "2")
+    assert (sweep(bounds, workers=2), run_identity_suite(bounds)) == serial
+
+
+def test_the_pool_starts_at_most_one_worker_per_task(monkeypatch):
+    class InlinePool:
+        """Runs the tasks in this process, each on a new table, and records its size."""
+
+        sizes = []
+
+        def __init__(self, max_workers, **kwargs):
+            self.sizes.append(max_workers)
+
+        def map(self, fn, *iterables):
+            return [fn(*args, {}) for args in zip(*iterables)]
+
+        def shutdown(self, cancel_futures):
+            pass
+
+    bounds = EnumerationBounds(3, 12)
+    assert en.TASK_PREFIXES < len(list(_prefixes(bounds))) <= 2 * en.TASK_PREFIXES  # two tasks
+    serial = sweep(bounds, workers=1)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert sweep(bounds, workers=8) == serial
+    assert InlinePool.sizes == [2]
 
 
 @forks
