@@ -13,15 +13,20 @@ not bad input), 130 interrupted by Ctrl-C.  Each error is one stderr line.
 Formats: table (human), json (stable keys, exact integers, quotient as
 num/den plus fixed 6-place decimal string), csv (fixed column order,
 lists joined by ';', no quoting needed).  All output is UTF-8 and ends
-with a newline.  The multiplicity sequence is rendered one run at a time,
-each run's text repeated once per point, so it reads as if written point
-by point.  Every JSON document and sweep record is laid out by %- and
-f-string templates, byte-equal to json.dumps(indent=2) of the same dicts;
-json.dumps itself only quotes a failed record's error.  sweep hands a row
-renderer down, so pool workers render the rows and the parent joins them
-between the document's head and tail.  --out is opened before any work,
-but truncated only once the whole text is ready, so a failed sweep leaves
-it as it was; a file that only this opening made is removed again.
+with a newline.  Output is written as it is produced.  The multiplicity
+sequence is rendered one run at a time, each run's text repeated once per
+point in pieces of at most _WRITE_CHUNK characters, so it reads as if
+written point by point.  Every JSON document and sweep record is laid out
+by %- and f-string templates, byte-equal to json.dumps(indent=2) of the
+same dicts; json.dumps itself only quotes a failed record's error.  sweep
+hands a row renderer down, so pool workers render the rows, and the
+parent writes each run's rows as the run arrives, after the document's
+head and before its tail: a sweep that fails has written whole rows
+only.  --out is opened before any work; the rows wait in an unnamed
+file beside it, and --out is rewritten in place only once the sweep
+succeeded, so a failed sweep leaves it as it was, and a file that only
+this opening made is removed again.  A reader that closes stdout early
+ends the command with exit 2 and one stderr line.
 Error messages quote an input in at most errors.ECHO_LIMIT + 2
 characters, escapes included; argparse's errors are its one "prog: error:
 message" line, without usage, and a value it quoted is cut by the value's
@@ -45,7 +50,7 @@ from .combinatorics import (
     char_exponents_from_semigroup,
     semigroup_from_char_exponents,
 )
-from .enumeration import EnumerationBounds, SweepRecord, sweep
+from .enumeration import EnumerationBounds, SweepRecord, SweepSummary, sweep
 from .errors import (
     ECHO_LIMIT,
     InternalInvariantViolation,
@@ -127,17 +132,32 @@ def _class_dict(c: CharacteristicExponents) -> dict:
     return {"n": c.n, "beta": list(c.beta)}
 
 
-def _repeated(m: MultiplicitySequence, render, sep: str, head: str = "", tail: str = "") -> str:
-    """head, every point as render(its run) with sep between points, then tail.
+# the most characters one write of the multiplicity sequence carries (one point at least)
+_WRITE_CHUNK = 1 << 16
 
-    Each run is rendered once and written as (text + sep) * count, the
-    last point without its sep, and the pieces are joined once: the cost
-    per point is a string copy, not a Python call.
+
+def _repeated(m: MultiplicitySequence, render, sep: str, head: str = "", tail: str = "") -> None:
+    """Write head, every point as render(its run) with sep between points, then tail, to stdout.
+
+    Each run is rendered once and written as pieces of (text + sep) * k,
+    k points of at most _WRITE_CHUNK characters, the last point without
+    its sep: the cost per point is a string copy, not a Python call, and
+    no more than one piece is held at a time.
     """
-    *runs, last = m.runs
-    text = render(last)
-    return "".join([head, *[(render(run) + sep) * run.count for run in runs],
-                    (text + sep) * (last.count - 1), text, tail])
+    write = sys.stdout.write
+    write(head)
+    counts = [run.count for run in m.runs]
+    counts[-1] -= 1  # the last point goes out with the tail
+    for run, count in zip(m.runs, counts):
+        point = render(run) + sep
+        k = max(1, _WRITE_CHUNK // len(point))
+        whole, rest = divmod(count, k)
+        if whole:
+            piece = point * k
+            for _ in range(whole):
+                write(piece)
+        write(point * rest)
+    write(render(m.runs[-1]) + tail)
 
 
 def _json_item(obj) -> str:
@@ -244,7 +264,7 @@ def _invariants_table(
     s: SemigroupGenerators,
     m: MultiplicitySequence,
     r: InvariantReport,
-) -> str:
+) -> None:
     head = f"class            {c}\nsemigroup        {s}\nmultiplicity sequence:\n"
     tail = "".join([
         f"\nmu               {r.mu}",
@@ -255,7 +275,7 @@ def _invariants_table(
         f"\ntau lower bound  {r.tau_lower_bound}",
         f"\ndelta_gen gaps   {r.delta_gen_gaps}\n",
     ])
-    return _repeated(m, _table_point, "\n", head, tail)
+    _repeated(m, _table_point, "\n", head, tail)
 
 
 def cmd_invariants(args) -> int:
@@ -266,14 +286,13 @@ def cmd_invariants(args) -> int:
     m = multiplicity_sequence(c)
     if args.format == "json":
         head = _INVARIANTS_HEAD % (_json_class(c, 1), _json_ints(s.gens, 1))
-        text = _repeated(m, _json_point, _ITEM_SEP, head, _INVARIANTS_TAIL % _json_report(r, 1))
+        _repeated(m, _json_point, _ITEM_SEP, head, _INVARIANTS_TAIL % _json_report(r, 1))
     elif args.format == "csv":
         header = ",".join(CSV_COLUMNS + ["multiplicity_sequence"])
         row = _csv_row(SweepRecord(c, s, r))
-        text = _repeated(m, _compact_point, ";", f"{header}\n{row},", "\n")
+        _repeated(m, _compact_point, ";", f"{header}\n{row},", "\n")
     else:
-        text = _invariants_table(c, s, m, r)
-    sys.stdout.write(text)
+        _invariants_table(c, s, m, r)
     return 0
 
 
@@ -295,6 +314,14 @@ def _table_row(rec: SweepRecord) -> str:
     )
 
 
+def _csv_line(rec: SweepRecord) -> str:
+    return _csv_row(rec) + "\n"
+
+
+def _table_line(rec: SweepRecord) -> str:
+    return _table_row(rec) + "\n"
+
+
 def _json_record(rec: SweepRecord) -> str:
     """_json_item of the record's dict, from templates; json.dumps only quotes error."""
     c, s, r = rec.char_exponents, rec.semigroup, rec.report
@@ -309,39 +336,66 @@ def _json_record(rec: SweepRecord) -> str:
 
 # per --format: the row renderer sweep hands its workers (it pickles), the header
 SWEEP_FORMATS = {
-    "csv": (_csv_row, ",".join(CSV_COLUMNS)),
-    "table": (_table_row, SWEEP_TABLE_HEADER),
+    "csv": (_csv_line, ",".join(CSV_COLUMNS)),
+    "table": (_table_line, SWEEP_TABLE_HEADER),
     "json": (_json_record, None),
 }
 
 
-def _sweep_text(fmt: str, bounds: EnumerationBounds, rows: list[str], summary) -> str:
-    header = SWEEP_FORMATS[fmt][1]
-    if header is not None:
-        return "\n".join([header, *rows]) + "\n"
-    q = summary.max_quotient
-    pairs = "null" if bounds.max_pairs is None else bounds.max_pairs
-    head = _SWEEP_HEAD % (bounds.max_multiplicity, bounds.max_beta, pairs)
-    tail = _SWEEP_TAIL % (summary.classes, _json_quotient(q.numerator, q.denominator, 2),
-                          summary.failed)
-    return "".join([head, _ITEM_SEP.join(rows), tail])
+def _write_sweep(out, fmt: str, bounds: EnumerationBounds) -> SweepSummary:
+    """Write the sweep document to out as its runs arrive; return the summary.
+
+    The head goes out with the first run that holds rows, sep between such
+    runs, and the tail after the summary, so a sweep that fails has
+    written whole rows only: CSV and table lines, or JSON records up to
+    their closing brace.
+    """
+    render, header = SWEEP_FORMATS[fmt]
+    if header is None:
+        pairs = "null" if bounds.max_pairs is None else bounds.max_pairs
+        head = _SWEEP_HEAD % (bounds.max_multiplicity, bounds.max_beta, pairs)
+        sep = _ITEM_SEP
+    else:
+        head, sep = header + "\n", ""  # each line ends in its own newline
+    started = False
+
+    def write(rows: list[str]) -> None:
+        nonlocal started
+        if rows:
+            out.write(sep if started else head)
+            out.write(sep.join(rows))
+            started = True
+
+    summary = sweep(bounds, render=render, write=write)[1]
+    tail = ""
+    if header is None:
+        q = summary.max_quotient
+        tail = _SWEEP_TAIL % (summary.classes, _json_quotient(q.numerator, q.denominator, 2),
+                              summary.failed)
+    out.write(tail if started else head + tail)
+    return summary
 
 
 def cmd_sweep(args) -> int:
     bounds = EnumerationBounds(args.max_mult, args.max_beta, args.max_pairs)
     made = bool(args.out) and not os.path.exists(args.out)
     if args.out:
-        # an unwritable --out fails here, before any class is evaluated; the
-        # file keeps its contents until the text is ready
+        # an unwritable --out fails here, before any class is evaluated
         open(args.out, "a", encoding="utf-8").close()
     try:
-        rows, summary = sweep(bounds, render=SWEEP_FORMATS[args.format][0])
-        text = _sweep_text(args.format, bounds, rows, summary)
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as out:
-                out.write(text)
+            import shutil
+            import tempfile
+            # the rows wait in an unnamed file on the output's own file system;
+            # --out is rewritten in place, and only once the sweep succeeded
+            where = os.path.dirname(os.path.realpath(args.out))
+            with tempfile.TemporaryFile("w+", encoding="utf-8", dir=where) as rows:
+                summary = _write_sweep(rows, args.format, bounds)
+                rows.seek(0)
+                with open(args.out, "w", encoding="utf-8") as out:
+                    shutil.copyfileobj(rows, out)
         else:
-            sys.stdout.write(text)
+            summary = _write_sweep(sys.stdout, args.format, bounds)
     except BaseException:
         if made:  # a failed sweep leaves no file where there was none
             os.remove(args.out)
@@ -446,12 +500,24 @@ def build_parser() -> argparse.ArgumentParser:
 _shared_parser = functools.cache(build_parser)
 
 
+def _drop_stdout() -> None:
+    """Point stdout at os.devnull if its reader is gone, so the flush at exit cannot fail again."""
+    try:
+        sys.stdout.flush()
+    except OSError:  # the pipe is closed and still holds buffered text
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValidationError, OverflowLimitError, OSError) as exc:  # OSError: on output
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, BrokenPipeError):
+            _drop_stdout()
         return 2
     except InternalInvariantViolation as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)

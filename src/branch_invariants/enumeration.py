@@ -12,19 +12,22 @@ membership sieve above SIEVE_LIMIT, aborts it.
 
 Parallel evaluation is opt-in through the environment variable
 BRANCH_INVARIANTS_THREADS (a positive integer capping worker count).
-For the sweep and the identity suite (selfcheck) alike, workers walk
-runs of consecutive prefixes themselves and send back only rows and
-counts, or first failures; runs are joined in prefix order, which is
-enumeration order, so output is byte-identical with and without workers.
-A box of one task (at most TASK_PREFIXES prefixes) runs serially
-whatever the worker count, at most one worker starts per task, and the
-pool's modules load on the first parallel walk, not on import.
+The box is walked in runs of TASK_PREFIXES consecutive prefixes, and
+_walk yields each run's result in prefix order, which is enumeration
+order: serially on one table, or with workers that walk their runs
+themselves and send back only rows and counts, or first failures.  So
+output is byte-identical with and without workers, and a caller that
+writes each run as it arrives holds one run's rows at a time.  A box of
+one task runs serially whatever the worker count, at most one worker
+starts per task, and the pool's modules load on the first parallel walk,
+not on import.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from contextlib import closing
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -187,27 +190,31 @@ def _run_prefixes(run, bounds, prefixes, table: dict = _worker_table):
     return run(_subtrees(bounds, prefixes), table)
 
 
-def _walk(bounds: EnumerationBounds, run: Callable, workers: int | None) -> list:
-    """run(classes, table) on runs of prefixes of bounds, the results in prefix order.
+def _walk(bounds: EnumerationBounds, run: Callable, workers: int | None) -> Iterator:
+    """run(classes, table) on each run of TASK_PREFIXES prefixes of bounds, yielded in prefix order.
 
-    Serially: one run, one new table.  A pool of at most one worker per
-    task, for two tasks or more: TASK_PREFIXES prefixes a task, on its
-    worker's table.  An error or Ctrl-C cancels the tasks not started.
+    Serially: the runs in turn, on one new table.  A pool of at most one
+    worker per task, for two tasks or more: each run a task, on its
+    worker's table.  Callers close the generator when they stop early:
+    an error or Ctrl-C cancels the tasks not started.
     """
     count = _worker_count(workers)
     prefixes = list(_prefixes(bounds))
-    if count > 1 and len(prefixes) > TASK_PREFIXES:
+    tasks = [prefixes[i:i + TASK_PREFIXES] for i in range(0, len(prefixes), TASK_PREFIXES)]
+    if count > 1 and len(tasks) > 1:
         import signal  # the pool's modules load here: a serial command imports none
         from concurrent.futures import ProcessPoolExecutor
-        tasks = [prefixes[i:i + TASK_PREFIXES] for i in range(0, len(prefixes), TASK_PREFIXES)]
         # Ctrl-C is the parent's to handle
         pool = ProcessPoolExecutor(min(count, len(tasks)), initializer=signal.signal,
                                    initargs=(signal.SIGINT, signal.SIG_IGN))
         try:
-            return list(pool.map(_run_prefixes, repeat(run), repeat(bounds), tasks))
+            yield from pool.map(_run_prefixes, repeat(run), repeat(bounds), tasks)
         finally:
             pool.shutdown(cancel_futures=True)
-    return [_run_prefixes(run, bounds, prefixes, {})]
+    else:
+        table: dict = {}
+        for task in tasks:
+            yield _run_prefixes(run, bounds, task, table)
 
 
 def _sweep_run(classes, table: dict, render) -> tuple:
@@ -228,15 +235,27 @@ def sweep(
     bounds: EnumerationBounds,
     workers: int | None = None,
     render: Callable[[SweepRecord], Any] | None = None,
+    write: Callable[[list], Any] | None = None,
 ) -> tuple[list, SweepSummary]:
     """render(record) for each class in bounds, in enumeration order, and the summary.
 
     render defaults to returning the record.  workers defaults to the
     BRANCH_INVARIANTS_THREADS environment variable (serial when unset).
-    Pool workers render the rows of their runs; the runs are joined in
-    order, so worker count never changes the output.
+    Pool workers render the rows of their runs, and the runs come back in
+    order, so worker count never changes the output.  With write, each
+    run's rows go to write(rows) as the run arrives, in enumeration order
+    (a run may hold none), and the returned row list is empty.
     """
-    runs = _walk(bounds, partial(_sweep_run, render=render), workers)
-    rows = [row for run_rows, _, _ in runs for row in run_rows]
-    summary = SweepSummary(len(rows), max(q for *_, q in runs), sum(f for _, f, _ in runs))
-    return rows, summary
+    rows: list = []
+    classes = failed = 0
+    best = Fraction(0)
+    with closing(_walk(bounds, partial(_sweep_run, render=render), workers)) as runs:
+        for run_rows, run_failed, q in runs:
+            classes += len(run_rows)
+            failed += run_failed
+            best = max(best, q)
+            if write is None:
+                rows += run_rows
+            else:
+                write(run_rows)
+    return rows, SweepSummary(classes, best, failed)

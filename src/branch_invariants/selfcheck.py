@@ -17,6 +17,7 @@ first failing class in enumeration order.
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass
 from operator import add
 from types import SimpleNamespace
@@ -79,8 +80,9 @@ def _suite_run(classes, table: dict) -> dict[str, str]:
 def run_identity_suite(bounds: EnumerationBounds) -> list[CheckResult]:
     """Evaluate every named identity over all classes in bounds, then the sigma scan."""
     failures: dict[str, str] = {}
-    for run in _walk(bounds, _suite_run, None):
-        failures = run | failures  # runs are in enumeration order: the earliest stands
+    with closing(_walk(bounds, _suite_run, None)) as runs:
+        for run in runs:
+            failures = run | failures  # runs are in enumeration order: the earliest stands
     names = [name for name, _ in IDENTITIES] + ["resolution_invariance"]
     results = [
         CheckResult(name, name not in failures, failures.get(name, ""))
