@@ -182,25 +182,31 @@ def semigroup_from_char_exponents(c: CharacteristicExponents) -> SemigroupGenera
     v_0 = n, v_1 = beta_1, and each later generator accumulates the
     differences of the gcd chain:
     v_{i+1} = sum_{j<=i} ((e_{j-1} - e_j)/e_i) beta_j + beta_{i+1}.
+    The sum over j <= i is kept running: each generator adds one term.
     """
-    chain = c.gcd_chain
-    gens = [c.n, c.beta[0]]
+    chain, beta = c.gcd_chain, c.beta
+    gens = [c.n, beta[0]]
+    acc = 0
     for i in range(1, c.g):
-        e_i = chain[i]
         # e_0 = n, so the j = 1 term is (n - e_1) beta_1
-        acc = sum((chain[j - 1] - chain[j]) * c.beta[j - 1] for j in range(1, i + 1))
-        v = exact_div(acc, e_i, "generator accumulator") + c.beta[i]
+        acc += (chain[i - 1] - chain[i]) * beta[i - 1]
+        v = exact_div(acc, chain[i], "generator accumulator") + beta[i]
         check_int64(acc, v)
         gens.append(v)
     return SemigroupGenerators(tuple(gens))
 
 
-def _exponents_from_generators(s: SemigroupGenerators) -> CharacteristicExponents:
-    """Solve v_{i+1} = n_i v_i - beta_i + beta_{i+1} for the exponents."""
+def _exponents_from_generators(s: SemigroupGenerators) -> tuple[int, tuple[int, ...]]:
+    """Solve v_{i+1} = n_i v_i - beta_i + beta_{i+1} for the exponents.
+
+    Returns the raw pair (n, beta), not yet validated: the round trip
+    compares it with the class it came from, and a class it equals is
+    already valid.
+    """
     beta = [s.gens[1]]
     for i in range(1, s.g):
         beta.append(s.gens[i + 1] - s.multipliers[i - 1] * s.gens[i] + beta[i - 1])
-    return CharacteristicExponents(s.gens[0], tuple(beta))
+    return s.gens[0], tuple(beta)
 
 
 def char_exponents_from_semigroup(s: SemigroupGenerators) -> CharacteristicExponents:
@@ -209,7 +215,7 @@ def char_exponents_from_semigroup(s: SemigroupGenerators) -> CharacteristicExpon
     Uses the recursion v_{i+1} = n_i v_i - beta_i + beta_{i+1}; the result
     is re-validated on construction, and the round trip is checked.
     """
-    c = _exponents_from_generators(s)
+    c = CharacteristicExponents(*_exponents_from_generators(s))
     if semigroup_from_char_exponents(c).gens != s.gens:
         raise InternalInvariantViolation(
             f"round trip through exponents changed {s} into "

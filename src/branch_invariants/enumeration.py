@@ -17,7 +17,8 @@ _walk yields each run's result in prefix order, which is enumeration
 order: serially on one table, or with workers that walk their runs
 themselves and send back only rows and counts, or first failures.  So
 output is byte-identical with and without workers, and a caller that
-writes each run as it arrives holds one run's rows at a time.  A box of
+writes each run as it arrives holds one run's rows at a time, with at
+most two runs per worker submitted ahead of it.  A box of
 one task runs serially whatever the worker count, at most one worker
 starts per task, and the pool's modules load on the first parallel walk,
 not on import.
@@ -27,11 +28,12 @@ from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from contextlib import closing
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain
 from typing import Any, Callable, Iterable, Iterator
 
 from .combinatorics import CharacteristicExponents, SemigroupGenerators
@@ -195,8 +197,10 @@ def _walk(bounds: EnumerationBounds, run: Callable, workers: int | None) -> Iter
 
     Serially: the runs in turn, on one new table.  A pool of at most one
     worker per task, for two tasks or more: each run a task, on its
-    worker's table.  Callers close the generator when they stop early:
-    an error or Ctrl-C cancels the tasks not started.
+    worker's table, with at most two tasks per worker submitted ahead of
+    the run the caller holds, so a slow caller does not pile up finished
+    runs.  Callers close the generator when they stop early: an error or
+    Ctrl-C cancels the tasks not started.
     """
     count = _worker_count(workers)
     prefixes = list(_prefixes(bounds))
@@ -204,11 +208,18 @@ def _walk(bounds: EnumerationBounds, run: Callable, workers: int | None) -> Iter
     if count > 1 and len(tasks) > 1:
         import signal  # the pool's modules load here: a serial command imports none
         from concurrent.futures import ProcessPoolExecutor
+        size = min(count, len(tasks))
         # Ctrl-C is the parent's to handle
-        pool = ProcessPoolExecutor(min(count, len(tasks)), initializer=signal.signal,
+        pool = ProcessPoolExecutor(size, initializer=signal.signal,
                                    initargs=(signal.SIGINT, signal.SIG_IGN))
         try:
-            yield from pool.map(_run_prefixes, repeat(run), repeat(bounds), tasks)
+            ahead: deque = deque()  # one map per task: each holds its one result
+            for task in tasks:
+                ahead.append(pool.map(_run_prefixes, (run,), (bounds,), (task,)))
+                if len(ahead) > 2 * size:
+                    yield from ahead.popleft()
+            while ahead:
+                yield from ahead.popleft()
         finally:
             pool.shutdown(cancel_futures=True)
     else:

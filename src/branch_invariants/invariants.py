@@ -52,6 +52,7 @@ from .errors import (
     InternalInvariantViolation,
     NegativeGapCountError,
     OverflowLimitError,
+    ValidationError,
     check_int64,
     check_rows,
     exact_div,
@@ -296,12 +297,18 @@ def _evaluate(c: CharacteristicExponents, table: dict) -> SimpleNamespace:
     Works from the raw pieces, not the self-checking wrappers.  An
     internal invariant violation raised on the way gets an `identity`
     attribute: the identity charged with it, which is the one of the step
-    that was running.  Any other error is about the input, and propagates.
+    that was running.  c is valid, so a ValidationError from the map to
+    its generators is a bug too, raised as a violation of the round trip.
+    Any other error, such as an overflow or a sieve above SIEVE_LIMIT, is
+    about the input, and propagates.
     """
     v = SimpleNamespace(c=c)
     step = "semigroup_round_trip"
     try:
-        v.s = semigroup_from_char_exponents(c)
+        try:
+            v.s = semigroup_from_char_exponents(c)
+        except ValidationError as exc:  # c is valid, so its generators must be
+            raise InternalInvariantViolation(f"{c}: {step} failed: {exc}") from exc
         v.back = _exponents_from_generators(v.s)
         step = "multiplicity_total_sum"
         v.seq = _build_sequence(c, table)  # its sum identities are table rows
@@ -347,7 +354,7 @@ def _zariski_one_pair(v: SimpleNamespace) -> str | None:
 # function reads only what that function can supply.
 IDENTITIES: tuple[tuple[str, Callable[[SimpleNamespace], str | None]], ...] = (
     ("semigroup_round_trip",
-     lambda v: None if v.back == v.c else f"came back different through {v.s}"),
+     lambda v: None if v.back == (v.c.n, v.c.beta) else f"came back different through {v.s}"),
     *SEMIGROUP_IDENTITIES,
     *SEQUENCE_IDENTITIES,
     ("milnor_vs_conductor",

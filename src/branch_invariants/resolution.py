@@ -20,7 +20,9 @@ three sum identities check the result:
     multiplicity_satellite_sum   sum over satellite points = n - 1
 
 These are SEQUENCE_IDENTITIES, the sequence rows of invariants.IDENTITIES;
-multiplicity_sequence runs them before it returns a sequence.
+multiplicity_sequence runs them before it returns a sequence.  They read
+sums that MultiplicitySequence takes in the pass that canonicalises its
+runs, each checked to 64 bits when it is read.
 
 Run-length representation.  A sequence is stored as runs
 (multiplicity, count, kind, stage) of equal consecutive points, one per
@@ -42,7 +44,7 @@ full_report, a sweep or worker shard, or an identity suite.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, repeat
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -81,21 +83,32 @@ class MultiplicitySequence:
     """The resolution's points as runs, kept canonical on construction."""
 
     runs: tuple[Run, ...]
+    # the sums of multiplicity * count over all, free and satellite points,
+    # taken while the runs are canonicalised; runs alone decide equality
+    _sums: tuple[int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         runs: list[Run] = []
+        total = free = satellite = 0
         for run in self.runs:
             m, count, kind, stage = run
             if m < 1 or count < 0:
                 raise InternalInvariantViolation(f"invalid run {tuple(run)}")
             if not count:
                 continue
+            weight = m * count
+            total += weight
+            if kind is _FREE:
+                free += weight
+            elif kind is _SATELLITE:
+                satellite += weight
             last = runs[-1] if runs else None
             if last and (last.multiplicity, last.kind, last.stage) == (m, kind, stage):
                 runs[-1] = last._replace(count=last.count + count)
             else:
                 runs.append(run)
         object.__setattr__(self, "runs", tuple(runs))
+        object.__setattr__(self, "_sums", (total, free, satellite))
         if not runs or runs[0].kind is not _ORIGIN:
             raise InternalInvariantViolation("sequence must start at the origin")
         if runs[0].count != 1 or any(r.kind is _ORIGIN for r in runs[1:]):
@@ -117,13 +130,13 @@ class MultiplicitySequence:
         return self.runs[0].multiplicity
 
     def sum_total(self) -> int:
-        return _checked(sum(m * count for m, count, _, _ in self.runs))
+        return _checked(self._sums[0])
 
     def sum_free(self) -> int:
-        return _checked(sum(m * count for m, count, kind, _ in self.runs if kind is _FREE))
+        return _checked(self._sums[1])
 
     def sum_satellite(self) -> int:
-        return _checked(sum(m * count for m, count, kind, _ in self.runs if kind is _SATELLITE))
+        return _checked(self._sums[2])
 
 
 def _euclid_runs(a: int, b: int) -> list[tuple[int, int]]:

@@ -6,10 +6,11 @@ exact Puiseux parameterization, semigroup gaps from growing the member
 set generator by generator, and enumeration from filtering raw tuples.  Agreement between these and the
 package is what the derived test values rest on.
 
-The last two are earlier package routes, kept here to pin the faster
+The last four are earlier package routes, kept here to pin the faster
 ones that replaced them: rendering a ratio through a 50-digit Decimal,
-and checking resolution invariance on sequences rebuilt with appended
-smooth points.
+checking resolution invariance on sequences rebuilt with appended
+smooth points, the sequence sums as one generator pass each over the
+runs, and the semigroup generators with each accumulator summed anew.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from itertools import combinations
 from types import SimpleNamespace
 
-from branch_invariants import enumerate_classes
-from branch_invariants.errors import InternalInvariantViolation
+from branch_invariants import CharacteristicExponents, SemigroupGenerators, enumerate_classes
+from branch_invariants.errors import InternalInvariantViolation, check_int64, exact_div
 from branch_invariants.invariants import _evaluate, _sequence_values
-from branch_invariants.resolution import append_smooth_points
+from branch_invariants.resolution import MultiplicitySequence, PointKind, append_smooth_points
 
 # arithmetic over GF(P): exact, fast, and an accidental zero would need a
 # true value divisible by this prime, which the small prime coefficients
@@ -215,3 +216,25 @@ def resolution_invariance_reference(bounds) -> tuple[bool, str]:
             if any(value != getattr(v, key) for key, value in vars(ext).items()):
                 return False, f"first failure at {c}: changed after appending {k} points"
     return True, ""
+
+
+def sequence_sum_reference(m: MultiplicitySequence, kind: PointKind | None = None) -> int:
+    """Sum of multiplicity * count over the runs of m of kind (every run when None).
+
+    One generator pass over m.runs, its total checked to 64 bits.
+    """
+    total = sum(mult * count for mult, count, k, _ in m.runs if kind is None or k is kind)
+    check_int64(total)
+    return total
+
+
+def semigroup_reference(c: CharacteristicExponents) -> SemigroupGenerators:
+    """The generators of c, each accumulator summed from j = 1 again: O(g^2)."""
+    chain = c.gcd_chain
+    gens = [c.n, c.beta[0]]
+    for i in range(1, c.g):
+        acc = sum((chain[j - 1] - chain[j]) * c.beta[j - 1] for j in range(1, i + 1))
+        v = exact_div(acc, chain[i], "generator accumulator") + c.beta[i]
+        check_int64(acc, v)
+        gens.append(v)
+    return SemigroupGenerators(tuple(gens))

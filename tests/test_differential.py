@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
@@ -14,6 +15,7 @@ from branch_invariants import (
     CharacteristicExponents,
     MultiplicitySequence,
     OverflowLimitError,
+    PointKind,
     Run,
     append_smooth_points,
     conductor,
@@ -37,7 +39,12 @@ from branch_invariants.invariants import (
     _stage_sums,
 )
 from branch_invariants.resolution import _build_sequence
-from oracles import blowup_multiplicity_sequence, naive_conductor_and_gaps
+from oracles import (
+    blowup_multiplicity_sequence,
+    naive_conductor_and_gaps,
+    semigroup_reference,
+    sequence_sum_reference,
+)
 
 MAX_MULT = 16  # so g <= 4: each pair at least halves the running gcd
 MAX_BETA = 300
@@ -273,3 +280,50 @@ def test_stage_sums_match_run_sums(c):
 @example(CharacteristicExponents(10, (576540315836020665, 1634362939506820639)))
 def test_stage_sums_fail_as_run_sums_do(c):
     assert outcome(stage_route, c) == outcome(run_sum_route, c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(classes(max_mult=DEEP_MULT, max_beta=DEEP_BETA), huge_classes()))
+@example(CharacteristicExponents(4, (2**62 + 2, 2**62 + 3)))  # the accumulator leaves 64 bits
+# the accumulator of the third generator leaves 64 bits, the second's does not
+@example(CharacteristicExponents(8, (2**60 + 4, 2**61 + 2, 2**61 + 3)))
+def test_generators_match_the_quadratic_formula(c):
+    """The running accumulator gives the generators, or the error, of the O(g^2) sums."""
+    assert outcome(semigroup_from_char_exponents, c) == outcome(semigroup_reference, c)
+
+
+_KINDS = st.sampled_from([PointKind.FREE, PointKind.SATELLITE])
+
+
+@st.composite
+def run_tuples(draw) -> tuple[Run, ...]:
+    """An origin run, then free and satellite runs up to the int64 edges.
+
+    Multiplicities, kinds and stages come from small pools, so neighbours
+    often merge, and a count may be 0, so a run may be dropped.
+    """
+    big = st.integers(1, INT64_MAX)
+    runs = [Run(draw(st.one_of(st.integers(1, 4), big)), 1, PointKind.ORIGIN, 1)]
+    runs += draw(st.lists(st.builds(
+        Run, st.one_of(st.integers(1, 3), big), st.one_of(st.integers(0, 2), big),
+        _KINDS, st.integers(1, 2),
+    ), max_size=8))
+    return tuple(runs)
+
+
+SEQUENCE_SUMS = [
+    (MultiplicitySequence.sum_total, None),
+    (MultiplicitySequence.sum_free, PointKind.FREE),
+    (MultiplicitySequence.sum_satellite, PointKind.SATELLITE),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(run_tuples())
+@example((Run(3, 1, PointKind.ORIGIN, 1), Run(2, 1, PointKind.FREE, 1),
+          Run(2, 0, PointKind.SATELLITE, 1), Run(2, 2, PointKind.FREE, 1)))  # 0 dropped, 2s merge
+@example((Run(2, 1, PointKind.ORIGIN, 1), Run(INT64_MAX // 2 + 1, 2, PointKind.SATELLITE, 1)))
+def test_sequence_sums_match_one_pass_per_sum(runs):
+    m = MultiplicitySequence(runs)
+    for method, kind in SEQUENCE_SUMS:
+        assert outcome(method, m) == outcome(partial(sequence_sum_reference, kind=kind), m)

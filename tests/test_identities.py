@@ -40,6 +40,7 @@ from branch_invariants.enumeration import (
 )
 from branch_invariants.invariants import IDENTITIES, _evaluate
 from branch_invariants.resolution import Run
+from test_sweep_shards import forks
 
 ROW_NAMES = [name for name, _ in IDENTITIES]
 
@@ -237,3 +238,65 @@ def test_limit_error_exits_2(capsys, monkeypatch, command, threads):
     assert main([*command, "--max-mult", "4", "--max-beta", "30"]) == 2
     err = capsys.readouterr().err
     assert err == "error: membership sieve of 41 cells exceeds the limit of 40 (SIEVE_LIMIT)\n"
+
+
+def slipped_inverse(s):
+    """The inverse map with beta_{i+1} = n_i v_i - v_{i+1} + beta_i: (4; 6, 7) comes back as (4; 6, 5)."""
+    beta = [s.gens[1]]
+    for i in range(1, s.g):
+        beta.append(s.multipliers[i - 1] * s.gens[i] - s.gens[i + 1] + beta[i - 1])
+    return s.gens[0], tuple(beta)
+
+
+def forgetful_forward(c):
+    """The forward map without its + beta_{i+1}: (4; 6, 7) goes to <4, 6, 6>, which is not plane."""
+    chain, gens, acc = c.gcd_chain, [c.n, c.beta[0]], 0
+    for i in range(1, c.g):
+        acc += (chain[i - 1] - chain[i]) * c.beta[i - 1]
+        gens.append(acc // chain[i])
+    return SemigroupGenerators(tuple(gens))
+
+
+# (function of invariants, its mutant, what the round trip then reports on (4; 6, 7))
+ROUND_TRIP_MUTANTS = [
+    ("_exponents_from_generators", slipped_inverse, "came back different through <4, 6, 13>"),
+    ("semigroup_from_char_exponents", forgetful_forward,
+     "not a plane-branch semigroup: 2 * 6 = 12 is not < 6"),
+]
+
+
+@pytest.mark.parametrize("attr, mutant, detail", ROUND_TRIP_MUTANTS)
+def test_a_round_trip_bug_exits_3_naming_the_row(capsys, monkeypatch, attr, mutant, detail):
+    monkeypatch.setattr(inv, attr, mutant)
+    assert main(["invariants", "--char-exponents", "4:6,7"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"internal invariant violation: (4; 6, 7): semigroup_round_trip failed: {detail}\n"
+    )
+
+
+@pytest.mark.parametrize("threads", [None, pytest.param("2", marks=forks)])
+@pytest.mark.parametrize("attr, mutant, detail", ROUND_TRIP_MUTANTS)
+def test_a_round_trip_bug_fails_check(capsys, monkeypatch, attr, mutant, detail, threads):
+    monkeypatch.setattr(inv, attr, mutant)
+    monkeypatch.setattr(sc, "SIGMA_BOUND_LIMIT", 10)  # not under test here
+    if threads:
+        monkeypatch.setenv(THREADS_ENV_VAR, threads)
+    # (4, 12) has 17 prefixes: three pool tasks
+    assert main(["check", "--max-mult", "4", "--max-beta", "12"]) == 1
+    out = capsys.readouterr().out
+    if attr == "semigroup_from_char_exponents":  # raised in the pass, not by the row
+        detail = f"(4; 6, 7): semigroup_round_trip failed: {detail}"
+    assert [line for line in out.splitlines() if not line.startswith("ok ")] == [
+        f"FAIL semigroup_round_trip: first failure at (4; 6, 7): {detail}",
+        "first failing identity: semigroup_round_trip",
+    ]
+
+
+def test_a_forward_map_error_is_chained_to_the_round_trip(monkeypatch):
+    monkeypatch.setattr(inv, "semigroup_from_char_exponents", forgetful_forward)
+    with pytest.raises(InternalInvariantViolation) as info:
+        _evaluate(CharacteristicExponents(4, (6, 7)), {})
+    assert info.value.identity == "semigroup_round_trip"
+    assert isinstance(info.value.__cause__, branch_invariants.NotPlaneError)

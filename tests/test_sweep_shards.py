@@ -216,6 +216,44 @@ def test_the_pool_starts_at_most_one_worker_per_task(monkeypatch):
     assert InlinePool.sizes == [2]
 
 
+@pytest.mark.parametrize("workers", [2, 3])
+def test_the_pool_submits_at_most_two_runs_per_worker_ahead(monkeypatch, workers):
+    class InlinePool:
+        """Runs each task in this process as it is submitted, each on a new table.
+
+        Its workers finish at once, so every write is slow next to them.
+        """
+
+        submitted = 0
+
+        def __init__(self, max_workers, **kwargs):
+            pass
+
+        def map(self, fn, *iterables):
+            results = [fn(*args, {}) for args in zip(*iterables)]
+            InlinePool.submitted += len(results)
+            return results
+
+        def shutdown(self, cancel_futures):
+            pass
+
+    ahead, written = [], []
+
+    def write(rows):
+        written.append(rows)
+        ahead.append(InlinePool.submitted - len(written))
+
+    bounds = EnumerationBounds(8, 40)
+    tasks = -(-len(list(_prefixes(bounds))) // en.TASK_PREFIXES)
+    assert tasks > 4 * workers
+    serial = sweep(bounds, workers=1)[0]
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert sweep(bounds, workers=workers, write=write)[0] == []
+    assert [row for rows in written for row in rows] == serial
+    assert len(ahead) == tasks and max(ahead) == 2 * workers
+
+
 @forks
 def test_check_names_the_first_failing_class_whatever_the_workers(monkeypatch):
     def from_n_5(v):
