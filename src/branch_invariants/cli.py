@@ -247,8 +247,8 @@ def _record_row(rec: SweepRecord) -> list[str]:
     ]
     return [
         str(c.n),
-        ";".join(str(v) for v in (c.n, *c.beta)),
-        ";".join(str(v) for v in rec.semigroup.gens) if rec.semigroup else "",
+        ";".join(map(str, (c.n, *c.beta))),
+        ";".join(map(str, rec.semigroup.gens)) if rec.semigroup else "",
         *values,
         "1" if rec.passed else "0",
     ]

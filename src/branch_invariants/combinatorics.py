@@ -26,6 +26,7 @@ from itertools import accumulate
 from types import SimpleNamespace
 
 from .errors import (
+    INT64_MAX,
     DivisibilityViolationError,
     DomainError,
     GcdNotOneError,
@@ -57,13 +58,18 @@ class CharacteristicExponents:
 
     n: int
     beta: tuple[int, ...]
-    # (e_0, e_1, ..., e_g) with e_0 = n and e_i = gcd(e_{i-1}, beta_i),
-    # kept from validation; n and beta alone decide equality and hash
+    # (e_0, e_1, ..., e_g) with e_0 = n and e_i = gcd(e_{i-1}, beta_i), and
+    # the key (beta_i - beta_{i-1}, e_{i-1}, i) of each resolution stage
+    # with beta_0 = 0 (see resolution), kept from validation; n and beta
+    # alone decide equality and hash
     gcd_chain: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    stage_keys: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "beta", tuple(self.beta))
-        object.__setattr__(self, "gcd_chain", _validate_exponents(self.n, self.beta))
+        chain = _validate_exponents(self.n, self.beta)
+        object.__setattr__(self, "gcd_chain", chain)
+        object.__setattr__(self, "stage_keys", _stage_keys(self.beta, chain))
 
     @property
     def g(self) -> int:
@@ -98,6 +104,15 @@ def _validate_exponents(n: int, beta: tuple[int, ...]) -> tuple[int, ...]:
     if chain[-1] != 1:
         raise GcdNotOneError(f"gcd chain ends at e_g = {chain[-1]}, not 1")
     return tuple(chain)
+
+
+def _stage_keys(beta: tuple[int, ...], chain: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
+    """The key (beta_i - beta_{i-1}, e_{i-1}, i) of each resolution stage, with beta_0 = 0."""
+    keys, prev = [], 0
+    for i, b in enumerate(beta, start=1):
+        keys.append((b - prev, chain[i - 1], i))
+        prev = b
+    return tuple(keys)
 
 
 @dataclass(frozen=True)
@@ -150,8 +165,10 @@ def _validate_generators(gens: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[
     # the domination inequality is diagnosed first: inputs like <4, 6, 12>
     # fail several conditions at once and the useful message is this one
     for i, n_i in enumerate(mult[:-1], start=1):
-        check_int64(n_i * gens[i])
         if n_i * gens[i] >= gens[i + 1]:
+            # gens[i] > 0 and gens[i + 1] fits in 64 bits, so only a product
+            # that fails the test can leave the range
+            check_int64(n_i * gens[i])
             raise NotPlaneError(
                 f"not a plane-branch semigroup: "
                 f"{n_i} * {gens[i]} = {n_i * gens[i]} is not < {gens[i + 1]}"
@@ -255,13 +272,17 @@ def _members_below(sieve: int, k: int) -> int:
 
 
 def _conductor_formula(s: SemigroupGenerators) -> int:
-    """Closed form sum_i (n_i - 1) v_i - v_0 + 1 for the conductor."""
+    """Closed form sum_i (n_i - 1) v_i - v_0 + 1 for the conductor.
+
+    Each term and partial sum is refused as it leaves 64 bits: terms are
+    positive (n_i >= 2, v_i >= 1), so only the upper edge is tested inline.
+    """
     c = 1 - s.n
     for n_i, v in zip(s.multipliers, s.gens[1:]):
         term = (n_i - 1) * v
-        check_int64(term)
         c += term
-        check_int64(c)
+        if term > INT64_MAX or c > INT64_MAX:
+            check_int64(term, c)
     return c
 
 

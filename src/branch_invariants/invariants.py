@@ -18,8 +18,10 @@ is _run_sum of a per-point term, the exact sum of count * term over runs
 (see resolution) checked once, at its total, to stay in 64 bits; terms
 are non-negative, so no product or partial sum exceeds the total.
 Each sum is also additive over stages: in its tau_min_double_computation
-step the evaluation pass adds up the values of the stage table, filling
-a missing entry by the same routes over the stage's runs.
+step the evaluation pass adds up the values of the class's stage records
+(see resolution), one pass over the stage keys the class kept from
+validation, filling a record's values by the same routes over its runs
+when first asked; a class of one stage copies its record's values.
 
 IDENTITIES is the one ordered table of named per-class identities: the
 semigroup round trip, combinatorics.SEMIGROUP_IDENTITIES,
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add
 from types import SimpleNamespace
 from typing import Callable
 
@@ -48,6 +51,7 @@ from .combinatorics import (
     semigroup_from_char_exponents,
 )
 from .errors import (
+    INT64_MAX,
     DomainError,
     InternalInvariantViolation,
     NegativeGapCountError,
@@ -63,7 +67,6 @@ from .resolution import (
     MultiplicitySequence,
     Run,
     _build_sequence,
-    _stage_keys,
     _FREE,
     _ORIGIN,
 )
@@ -77,6 +80,10 @@ def decimal_ratio(num: int, den: int) -> str:
     return f"{q // 10**6}.{q % 10**6:06d}"
 
 
+# the largest k with k * k in signed 64 bits: only a larger k needs its square checked
+_SQUARE_ROOT_MAX = math.isqrt(INT64_MAX)
+
+
 def moduli_dim_term(k: int) -> int:
     """Contribution of one resolution point to the generic moduli dimension.
 
@@ -85,7 +92,8 @@ def moduli_dim_term(k: int) -> int:
     check_int64(k)
     if k < 2:
         raise DomainError(f"moduli term needs k >= 2, got {k}")
-    check_int64(k * k)
+    if k > _SQUARE_ROOT_MAX:
+        check_int64(k * k)
     if k % 2 == 0:
         return exact_div((k - 2) * (k - 4), 4, "even moduli term")
     return exact_div((k - 3) * (k - 3), 4, "odd moduli term")
@@ -185,17 +193,18 @@ def _sequence_values(m: MultiplicitySequence, v: SimpleNamespace) -> SimpleNames
 def _stage_sums(v: SimpleNamespace, table: dict) -> None:
     """Set v.n and the _SUM_NAMES of v.c as sums of its stages' values in table.
 
-    Values are kept once complete; a total out of 64 bits raises the error
-    that the sum over v.seq raises.
+    Values are kept once complete, and a single stage's are copied; a
+    total out of 64 bits raises the error that the sum over v.seq raises.
     """
     try:
-        totals = [0] * len(_SUM_NAMES)
-        for key in _stage_keys(v.c):
+        totals = None
+        for key in v.c.stage_keys:
             stage = table[key]
             if stage.values is None:
-                stage.values = _run_sums(stage)
-            totals = [t + s for t, s in zip(totals, stage.values)]
-        check_int64(*totals)
+                stage.values = _run_sums(stage)  # each checked to 64 bits
+            totals = stage.values if totals is None else tuple(map(add, totals, stage.values))
+        if v.c.g > 1:
+            check_int64(*totals)
     except OverflowLimitError:
         _run_sums(v.seq)
         raise
@@ -225,7 +234,8 @@ def tjurina_lower_bound(n: int) -> int:
     check_int64(n)
     if n < 2:
         raise DomainError(f"lower bound needs multiplicity >= 2, got {n}")
-    check_int64(n * n)
+    if n > _SQUARE_ROOT_MAX:
+        check_int64(n * n)
     if n % 2 == 0:
         return exact_div(3 * n * n, 4, "even lower bound") - 1
     return exact_div(3 * (n * n - 1), 4, "odd lower bound")

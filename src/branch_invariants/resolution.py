@@ -21,8 +21,8 @@ three sum identities check the result:
 
 These are SEQUENCE_IDENTITIES, the sequence rows of invariants.IDENTITIES;
 multiplicity_sequence runs them before it returns a sequence.  They read
-sums that MultiplicitySequence takes in the pass that canonicalises its
-runs, each checked to 64 bits when it is read.
+sums taken in the pass that canonicalises the runs (added up from the
+stage records for a joined sequence), each checked to 64 bits when read.
 
 Run-length representation.  A sequence is stored as runs
 (multiplicity, count, kind, stage) of equal consecutive points, one per
@@ -35,10 +35,16 @@ expands the runs on demand into runs of count 1, up to the same cap as
 the membership sieve, and MultiplicitySequence(m.points) == m.
 
 Stage table.  Stage i depends only on its key (a, b, i): (beta_1, n, 1),
-then (beta_i - beta_{i-1}, e_{i-1}, i).  _build_sequence reads stages from
-a dict by key and marks only missing ones; invariants adds their values.
-The table lives for one call of its maker: multiplicity_sequence,
-full_report, a sweep or worker shard, or an identity suite.
+then (beta_i - beta_{i-1}, e_{i-1}, i), which CharacteristicExponents
+keeps from validation.  A table holds one record per key, built when the
+key is first met: the stage's runs from _mark_stage, checked and merged
+as a MultiplicitySequence's are (an origin only as the first run of
+stage 1), their three sums, and the per-point sums of invariants once
+asked for.  _build_sequence joins a class's records by concatenating
+runs and adding sums, with no second canonical pass: runs of two stages
+differ in stage, so none merge.  The table lives for one call of its
+maker: multiplicity_sequence, full_report, a sweep or worker shard, or
+an identity suite.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from itertools import chain, repeat
+from operator import add
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -78,6 +85,39 @@ class Run(NamedTuple):
     stage: int
 
 
+def _canonical(runs, origin: bool) -> tuple[tuple[Run, ...], tuple[int, int, int]]:
+    """runs checked and merged, and their sums over all, free and satellite points.
+
+    A run needs multiplicity >= 1 and count >= 0; empty runs are dropped
+    and neighbours of equal multiplicity, kind and stage merged.  With
+    origin the first run is the origin, a run of one point; no other is.
+    """
+    out: list[Run] = []
+    total = free = satellite = 0
+    for run in runs:
+        m, count, kind, stage = run
+        if m < 1 or count < 0:
+            raise InternalInvariantViolation(f"invalid run {tuple(run)}")
+        if not count:
+            continue
+        weight = m * count
+        total += weight
+        if kind is _FREE:
+            free += weight
+        elif kind is _SATELLITE:
+            satellite += weight
+        last = out[-1] if out else None
+        if last and (last.multiplicity, last.kind, last.stage) == (m, kind, stage):
+            out[-1] = last._replace(count=last.count + count)
+        else:
+            out.append(run)
+    if origin and (not out or out[0].kind is not _ORIGIN):
+        raise InternalInvariantViolation("sequence must start at the origin")
+    if (origin and out[0].count != 1) or any(r.kind is _ORIGIN for r in out[int(origin):]):
+        raise InternalInvariantViolation("only the first point is the origin")
+    return tuple(out), (total, free, satellite)
+
+
 @dataclass(frozen=True)
 class MultiplicitySequence:
     """The resolution's points as runs, kept canonical on construction."""
@@ -88,31 +128,17 @@ class MultiplicitySequence:
     _sums: tuple[int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        runs: list[Run] = []
-        total = free = satellite = 0
-        for run in self.runs:
-            m, count, kind, stage = run
-            if m < 1 or count < 0:
-                raise InternalInvariantViolation(f"invalid run {tuple(run)}")
-            if not count:
-                continue
-            weight = m * count
-            total += weight
-            if kind is _FREE:
-                free += weight
-            elif kind is _SATELLITE:
-                satellite += weight
-            last = runs[-1] if runs else None
-            if last and (last.multiplicity, last.kind, last.stage) == (m, kind, stage):
-                runs[-1] = last._replace(count=last.count + count)
-            else:
-                runs.append(run)
-        object.__setattr__(self, "runs", tuple(runs))
-        object.__setattr__(self, "_sums", (total, free, satellite))
-        if not runs or runs[0].kind is not _ORIGIN:
-            raise InternalInvariantViolation("sequence must start at the origin")
-        if runs[0].count != 1 or any(r.kind is _ORIGIN for r in runs[1:]):
-            raise InternalInvariantViolation("only the first point is the origin")
+        runs, sums = _canonical(self.runs, origin=True)
+        object.__setattr__(self, "runs", runs)
+        object.__setattr__(self, "_sums", sums)
+
+    @classmethod
+    def _joined(cls, runs: tuple[Run, ...], sums: tuple[int, int, int]) -> MultiplicitySequence:
+        """The sequence of runs that are canonical already, with their sums, unchecked."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "runs", runs)
+        object.__setattr__(m, "_sums", sums)
+        return m
 
     @property
     def points(self) -> tuple[Run, ...]:
@@ -174,21 +200,26 @@ def _mark_stage(a: int, b: int, stage: int) -> tuple[Run, ...]:
     return tuple(Run(m, count, kind, stage) for m, count, kind in runs if count)
 
 
-def _stage_keys(c: CharacteristicExponents) -> list[tuple[int, int, int]]:
-    """The key of each stage of c, in order."""
-    e, beta = c.gcd_chain, c.beta
-    return [(beta[0], c.n, 1)] + [(beta[i] - beta[i - 1], e[i], i + 1) for i in range(1, c.g)]
+def _stage_record(key: tuple[int, int, int]) -> SimpleNamespace:
+    """The table entry of stage key: its runs, checked once, their sums, no values yet."""
+    runs, sums = _canonical(_mark_stage(*key), origin=key[2] == 1)
+    return SimpleNamespace(runs=runs, sums=sums, values=None)
 
 
 def _build_sequence(c: CharacteristicExponents, table: dict) -> MultiplicitySequence:
-    """The stages of c from table joined, before SEQUENCE_IDENTITIES run."""
-    runs: list[Run] = []
-    for key in _stage_keys(c):
+    """The stages of c from table joined, before SEQUENCE_IDENTITIES run.
+
+    Each stage is a canonical record and no run merges across stages, so
+    the join is the runs in stage order and the sums added.
+    """
+    runs, sums = (), None
+    for key in c.stage_keys:
         stage = table.get(key)
         if stage is None:
-            stage = table[key] = SimpleNamespace(runs=_mark_stage(*key), values=None)
+            stage = table[key] = _stage_record(key)
         runs += stage.runs
-    return MultiplicitySequence(tuple(runs))
+        sums = stage.sums if sums is None else tuple(map(add, sums, stage.sums))
+    return MultiplicitySequence._joined(runs, sums)
 
 
 # the rows of invariants.IDENTITIES about v.seq, the sequence of class v.c

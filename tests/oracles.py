@@ -1,27 +1,40 @@
 """Independent reference computations used only by the tests.
 
-Apart from the last two, nothing here shares algorithms with the
+Apart from the last eight, nothing here shares algorithms with the
 package: multiplicity sequences come from simulating blow-ups on an
 exact Puiseux parameterization, semigroup gaps from growing the member
 set generator by generator, and enumeration from filtering raw tuples.  Agreement between these and the
 package is what the derived test values rest on.
 
-The last four are earlier package routes, kept here to pin the faster
+The last eight are earlier package routes, kept here to pin the faster
 ones that replaced them: rendering a ratio through a 50-digit Decimal,
 checking resolution invariance on sequences rebuilt with appended
 smooth points, the sequence sums as one generator pass each over the
-runs, and the semigroup generators with each accumulator summed anew.
+runs, the semigroup generators with each accumulator summed anew, and
+four functions that checked every product or partial sum to 64 bits
+where the package now checks only where a value can leave that range.
 """
 
 from __future__ import annotations
 
 import math
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
-from itertools import combinations
+from itertools import accumulate, combinations
 from types import SimpleNamespace
 
 from branch_invariants import CharacteristicExponents, SemigroupGenerators, enumerate_classes
-from branch_invariants.errors import InternalInvariantViolation, check_int64, exact_div
+from branch_invariants.errors import (
+    DivisibilityViolationError,
+    DomainError,
+    GcdNotOneError,
+    InternalInvariantViolation,
+    NonIncreasingError,
+    NotPlaneError,
+    NotSingularError,
+    check_int64,
+    echo_plain,
+    exact_div,
+)
 from branch_invariants.invariants import _evaluate, _sequence_values
 from branch_invariants.resolution import MultiplicitySequence, PointKind, append_smooth_points
 
@@ -238,3 +251,67 @@ def semigroup_reference(c: CharacteristicExponents) -> SemigroupGenerators:
         check_int64(acc, v)
         gens.append(v)
     return SemigroupGenerators(tuple(gens))
+
+
+def validate_generators_reference(gens: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The gcd chain and multipliers of gens, each domination product checked first."""
+    check_int64(*gens)
+    if len(gens) < 2 or gens[0] < 2:
+        raise NotSingularError(
+            f"generators {echo_plain(list(gens))} describe a smooth branch; "
+            f"need v_0 >= 2 and at least two generators"
+        )
+    if gens[1] <= gens[0]:
+        raise NonIncreasingError(
+            f"v_1 = {gens[1]} must exceed the multiplicity v_0 = {gens[0]}"
+        )
+    chain = list(accumulate(gens, math.gcd))
+    mult = tuple(e // e_next for e, e_next in zip(chain, chain[1:]))
+    for i, n_i in enumerate(mult[:-1], start=1):
+        check_int64(n_i * gens[i])
+        if n_i * gens[i] >= gens[i + 1]:
+            raise NotPlaneError(
+                f"not a plane-branch semigroup: "
+                f"{n_i} * {gens[i]} = {n_i * gens[i]} is not < {gens[i + 1]}"
+            )
+    for i in range(1, len(gens)):
+        if chain[i] == chain[i - 1]:
+            raise DivisibilityViolationError(
+                f"v_{i} = {gens[i]} is divisible by gcd(v_0..v_{i - 1}) = {chain[i - 1]}"
+            )
+    if chain[-1] != 1:
+        raise GcdNotOneError(f"gcd of all generators is {chain[-1]}, not 1")
+    return tuple(chain), mult
+
+
+def conductor_formula_reference(s: SemigroupGenerators) -> int:
+    """sum_i (n_i - 1) v_i - v_0 + 1, every term and partial sum checked."""
+    c = 1 - s.n
+    for n_i, v in zip(s.multipliers, s.gens[1:]):
+        term = (n_i - 1) * v
+        check_int64(term)
+        c += term
+        check_int64(c)
+    return c
+
+
+def moduli_dim_term_reference(k: int) -> int:
+    """(k-2)(k-4)/4 for even k, (k-3)^2/4 for odd k >= 2, with k * k always checked."""
+    check_int64(k)
+    if k < 2:
+        raise DomainError(f"moduli term needs k >= 2, got {k}")
+    check_int64(k * k)
+    if k % 2 == 0:
+        return exact_div((k - 2) * (k - 4), 4, "even moduli term")
+    return exact_div((k - 3) * (k - 3), 4, "odd moduli term")
+
+
+def tjurina_lower_bound_reference(n: int) -> int:
+    """3n^2/4 - 1 for even n, 3(n^2 - 1)/4 for odd n >= 2, with n * n always checked."""
+    check_int64(n)
+    if n < 2:
+        raise DomainError(f"lower bound needs multiplicity >= 2, got {n}")
+    check_int64(n * n)
+    if n % 2 == 0:
+        return exact_div(3 * n * n, 4, "even lower bound") - 1
+    return exact_div(3 * (n * n - 1), 4, "odd lower bound")
