@@ -109,29 +109,6 @@ def _class_from_args(args) -> CharacteristicExponents:
     return CharacteristicExponents(pair[0], (pair[1],))
 
 
-def _report_dict(r: InvariantReport) -> dict:
-    """The report's JSON object, as a dict: the shape _json_report lays out."""
-    return {
-        "n": r.n,
-        "mu": r.mu,
-        "tau_minus": r.tau_minus,
-        "q_min": r.q_min,
-        "tau_min": r.tau_min,
-        "quotient": {
-            "num": r.quotient_num,
-            "den": r.quotient_den,
-            "decimal": r.quotient_decimal(),
-        },
-        "tau_lower_bound": r.tau_lower_bound,
-        "delta_gen_gaps": r.delta_gen_gaps,
-    }
-
-
-def _class_dict(c: CharacteristicExponents) -> dict:
-    """The class's JSON object, as a dict: the shape _json_class lays out."""
-    return {"n": c.n, "beta": list(c.beta)}
-
-
 # the most characters one write of the multiplicity sequence carries (one point at least)
 _WRITE_CHUNK = 1 << 16
 
@@ -158,11 +135,6 @@ def _repeated(m: MultiplicitySequence, render, sep: str, head: str = "", tail: s
                 write(piece)
         write(point * rest)
     write(render(m.runs[-1]) + tail)
-
-
-def _json_item(obj) -> str:
-    """obj as json.dumps(indent=2) lays it out in a list under a top-level key."""
-    return json.dumps(obj, indent=2).replace("\n", "\n    ")
 
 
 # json.dumps(indent=2) layouts as % templates, written as if at the top
@@ -193,9 +165,11 @@ def _at(template: str, depth: int) -> str:
 
 
 def _json_ints(values, depth: int) -> str:
-    """json.dumps(list(values), indent=2), depth levels in."""
-    if not values:
-        return "[]"
+    """json.dumps(list(values), indent=2), depth levels in, for values that are not empty.
+
+    Validation holds a class to one exponent at least and a semigroup to
+    two generators, and a failed record renders null in their place.
+    """
     pad = "\n" + "  " * depth
     return f"[{pad}  " + f",{pad}  ".join(map(str, values)) + f"{pad}]"
 
@@ -225,7 +199,10 @@ def _json_checks(names: tuple[str, ...], passed: bool, depth: int) -> str:
 
 
 def _json_point(run: Run) -> str:
-    """_json_item of the point's dict: kinds are ASCII words and ints need no escaping."""
+    """The point's dict as json.dumps(indent=2) lays it out in a top-level key's list.
+
+    Kinds are ASCII words and ints need no escaping.
+    """
     return (f'{{\n      "multiplicity": {run.multiplicity},\n      "kind": "{run.kind.value}",'
             f'\n      "stage": {run.stage}\n    }}')
 
@@ -259,25 +236,6 @@ def _csv_row(rec: SweepRecord) -> str:
     return ",".join(_record_row(rec))
 
 
-def _invariants_table(
-    c: CharacteristicExponents,
-    s: SemigroupGenerators,
-    m: MultiplicitySequence,
-    r: InvariantReport,
-) -> None:
-    head = f"class            {c}\nsemigroup        {s}\nmultiplicity sequence:\n"
-    tail = "".join([
-        f"\nmu               {r.mu}",
-        f"\ntau_minus        {r.tau_minus}",
-        f"\nq_min            {r.q_min}",
-        f"\ntau_min          {r.tau_min}",
-        f"\nmu/tau_min       {r.quotient_num}/{r.quotient_den} = {r.quotient_decimal()}",
-        f"\ntau lower bound  {r.tau_lower_bound}",
-        f"\ndelta_gen gaps   {r.delta_gen_gaps}\n",
-    ])
-    _repeated(m, _table_point, "\n", head, tail)
-
-
 def cmd_invariants(args) -> int:
     c = _class_from_args(args)
     # the pass first: a class out of range exits on its error, not on a sequence sum's
@@ -292,7 +250,17 @@ def cmd_invariants(args) -> int:
         row = _csv_row(SweepRecord(c, s, r))
         _repeated(m, _compact_point, ";", f"{header}\n{row},", "\n")
     else:
-        _invariants_table(c, s, m, r)
+        head = f"class            {c}\nsemigroup        {s}\nmultiplicity sequence:\n"
+        tail = "".join([
+            f"\nmu               {r.mu}",
+            f"\ntau_minus        {r.tau_minus}",
+            f"\nq_min            {r.q_min}",
+            f"\ntau_min          {r.tau_min}",
+            f"\nmu/tau_min       {r.quotient_num}/{r.quotient_den} = {r.quotient_decimal()}",
+            f"\ntau lower bound  {r.tau_lower_bound}",
+            f"\ndelta_gen gaps   {r.delta_gen_gaps}\n",
+        ])
+        _repeated(m, _table_point, "\n", head, tail)
     return 0
 
 
@@ -323,7 +291,10 @@ def _table_line(rec: SweepRecord) -> str:
 
 
 def _json_record(rec: SweepRecord) -> str:
-    """_json_item of the record's dict, from templates; json.dumps only quotes error."""
+    """The record's dict as json.dumps(indent=2) lays it out in a top-level key's list.
+
+    Laid out from templates; json.dumps only quotes error.
+    """
     c, s, r = rec.char_exponents, rec.semigroup, rec.report
     return _at(_RECORD, 2) % (
         _json_class(c, 3),
@@ -378,17 +349,19 @@ def _write_sweep(out, fmt: str, bounds: EnumerationBounds) -> SweepSummary:
 
 def cmd_sweep(args) -> int:
     bounds = EnumerationBounds(args.max_mult, args.max_beta, args.max_pairs)
-    made = bool(args.out) and not os.path.exists(args.out)
-    if args.out:
+    # opening --out follows a symlink, so its target is what may be made and removed
+    target = os.path.realpath(args.out) if args.out else None
+    made = bool(target) and not os.path.exists(target)
+    if target:
         # an unwritable --out fails here, before any class is evaluated
         open(args.out, "a", encoding="utf-8").close()
     try:
-        if args.out:
+        if target:
             import shutil
             import tempfile
             # the rows wait in an unnamed file on the output's own file system;
             # --out is rewritten in place, and only once the sweep succeeded
-            where = os.path.dirname(os.path.realpath(args.out))
+            where = os.path.dirname(target)
             with tempfile.TemporaryFile("w+", encoding="utf-8", dir=where) as rows:
                 summary = _write_sweep(rows, args.format, bounds)
                 rows.seek(0)
@@ -398,7 +371,7 @@ def cmd_sweep(args) -> int:
             summary = _write_sweep(sys.stdout, args.format, bounds)
     except BaseException:
         if made:  # a failed sweep leaves no file where there was none
-            os.remove(args.out)
+            os.remove(target)
         raise
     print(
         f"classes: {summary.classes}  "

@@ -266,11 +266,6 @@ def _membership_sieve(gens: tuple[int, ...], limit: int) -> int:
     return sieve
 
 
-def _members_below(sieve: int, k: int) -> int:
-    """How many of 0, ..., k - 1 the sieve marks as members."""
-    return (sieve & ((1 << max(k, 0)) - 1)).bit_count()
-
-
 def _conductor_formula(s: SemigroupGenerators) -> int:
     """Closed form sum_i (n_i - 1) v_i - v_0 + 1 for the conductor.
 
@@ -289,7 +284,8 @@ def _conductor_formula(s: SemigroupGenerators) -> int:
 def _read_sieve(v: SimpleNamespace) -> SimpleNamespace:
     """v with the sieve of length c + v_0 for v.s, v.conductor and the gaps below c."""
     v.sieve = _membership_sieve(v.s.gens, v.conductor + v.s.n)
-    v.gaps = v.conductor - _members_below(v.sieve, v.conductor)
+    # max(c, 0): a broken conductor formula must reach its row, not a negative shift
+    v.gaps = v.conductor - (v.sieve & ((1 << max(v.conductor, 0)) - 1)).bit_count()
     return v
 
 

@@ -258,6 +258,7 @@ def sweep(
     (a run may hold none), and the returned row list is empty.
     """
     rows: list = []
+    write = rows.extend if write is None else write
     classes = failed = 0
     best = Fraction(0)
     with closing(_walk(bounds, partial(_sweep_run, render=render), workers)) as runs:
@@ -265,8 +266,5 @@ def sweep(
             classes += len(run_rows)
             failed += run_failed
             best = max(best, q)
-            if write is None:
-                rows += run_rows
-            else:
-                write(run_rows)
+            write(run_rows)
     return rows, SweepSummary(classes, best, failed)

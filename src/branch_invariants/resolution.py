@@ -200,23 +200,19 @@ def _mark_stage(a: int, b: int, stage: int) -> tuple[Run, ...]:
     return tuple(Run(m, count, kind, stage) for m, count, kind in runs if count)
 
 
-def _stage_record(key: tuple[int, int, int]) -> SimpleNamespace:
-    """The table entry of stage key: its runs, checked once, their sums, no values yet."""
-    runs, sums = _canonical(_mark_stage(*key), origin=key[2] == 1)
-    return SimpleNamespace(runs=runs, sums=sums, values=None)
-
-
 def _build_sequence(c: CharacteristicExponents, table: dict) -> MultiplicitySequence:
     """The stages of c from table joined, before SEQUENCE_IDENTITIES run.
 
-    Each stage is a canonical record and no run merges across stages, so
-    the join is the runs in stage order and the sums added.
+    A key first met gets its record: its runs, checked once, their sums,
+    and no values yet.  Each stage is a canonical record and no run merges
+    across stages, so the join is the runs in stage order and the sums added.
     """
     runs, sums = (), None
     for key in c.stage_keys:
         stage = table.get(key)
         if stage is None:
-            stage = table[key] = _stage_record(key)
+            stage_runs, stage_sums = _canonical(_mark_stage(*key), origin=key[2] == 1)
+            stage = table[key] = SimpleNamespace(runs=stage_runs, sums=stage_sums, values=None)
         runs += stage.runs
         sums = stage.sums if sums is None else tuple(map(add, sums, stage.sums))
     return MultiplicitySequence._joined(runs, sums)

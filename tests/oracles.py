@@ -13,16 +13,26 @@ smooth points, the sequence sums as one generator pass each over the
 runs, the semigroup generators with each accumulator summed anew, and
 four functions that checked every product or partial sum to 64 bits
 where the package now checks only where a value can leave that range.
+
+After them come the JSON shapes, as dicts, that the command line's
+templates must lay out byte for byte as json.dumps(indent=2) does: a
+class, a report, and json.dumps's layout of an item in a top-level list.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from itertools import accumulate, combinations
 from types import SimpleNamespace
 
-from branch_invariants import CharacteristicExponents, SemigroupGenerators, enumerate_classes
+from branch_invariants import (
+    CharacteristicExponents,
+    InvariantReport,
+    SemigroupGenerators,
+    enumerate_classes,
+)
 from branch_invariants.errors import (
     DivisibilityViolationError,
     DomainError,
@@ -315,3 +325,31 @@ def tjurina_lower_bound_reference(n: int) -> int:
     if n % 2 == 0:
         return exact_div(3 * n * n, 4, "even lower bound") - 1
     return exact_div(3 * (n * n - 1), 4, "odd lower bound")
+
+
+def _report_dict(r: InvariantReport) -> dict:
+    """The report's JSON object, as a dict: the shape cli._json_report lays out."""
+    return {
+        "n": r.n,
+        "mu": r.mu,
+        "tau_minus": r.tau_minus,
+        "q_min": r.q_min,
+        "tau_min": r.tau_min,
+        "quotient": {
+            "num": r.quotient_num,
+            "den": r.quotient_den,
+            "decimal": r.quotient_decimal(),
+        },
+        "tau_lower_bound": r.tau_lower_bound,
+        "delta_gen_gaps": r.delta_gen_gaps,
+    }
+
+
+def _class_dict(c: CharacteristicExponents) -> dict:
+    """The class's JSON object, as a dict: the shape cli._json_class lays out."""
+    return {"n": c.n, "beta": list(c.beta)}
+
+
+def _json_item(obj) -> str:
+    """obj as json.dumps(indent=2) lays it out in a list under a top-level key."""
+    return json.dumps(obj, indent=2).replace("\n", "\n    ")

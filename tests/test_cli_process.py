@@ -22,9 +22,10 @@ import branch_invariants.cli as cli
 import branch_invariants.combinatorics as comb
 import branch_invariants.enumeration as en
 import branch_invariants.errors as errors
-from branch_invariants.cli import _json_item, _json_point, build_parser, main
+from branch_invariants.cli import _json_point, build_parser, main
 from branch_invariants.enumeration import THREADS_ENV_VAR
 from branch_invariants.resolution import PointKind, Run
+from oracles import _json_item
 
 # bad argv first, then each subcommand, so a parser changed by an earlier
 # call would show in a later one

@@ -1,6 +1,6 @@
 """JSON output from templates, byte-equal to json.dumps(indent=2) of the dict document.
 
-The dict shapes are cli's _class_dict and _report_dict; an invariants
+The dict shapes are oracles' _class_dict and _report_dict; an invariants
 document, a sweep record and a sweep document must each equal what
 json.dumps lays out for them, including failed records whose error holds
 text that needs escaping.  The command line also keeps the module
@@ -30,7 +30,8 @@ from branch_invariants import (
     multiplicity_sequence,
     semigroup_from_char_exponents,
 )
-from branch_invariants.cli import _class_dict, _json_item, _json_record, _report_dict, main
+from branch_invariants.cli import _json_record, main
+from oracles import _class_dict, _json_item, _report_dict
 from test_differential import DEEP_BETA, DEEP_MULT, classes, huge_classes
 from test_sweep_shards import reference_document
 

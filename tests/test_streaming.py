@@ -153,6 +153,20 @@ def test_a_symlinked_out_stays_a_symlink(capsys, records):
     assert records.read_text(encoding="utf-8").startswith("n,char_exponents,")
 
 
+def test_a_dangling_symlinked_out_stays_a_symlink(capsys, monkeypatch, tmp_path):
+    link = tmp_path / "out.csv"
+    link.symlink_to("missing.csv")
+    monkeypatch.setenv(THREADS_ENV_VAR, "x")  # fails after --out is opened
+    assert sweep_to(link) == 2
+    assert link.is_symlink() and os.readlink(link) == "missing.csv"
+    assert sorted(tmp_path.iterdir()) == [link]  # and no target is left behind it
+    monkeypatch.delenv(THREADS_ENV_VAR)
+    assert sweep_to(link) == 0
+    assert link.is_symlink() and os.readlink(link) == "missing.csv"
+    assert (tmp_path / "missing.csv").read_text(encoding="utf-8") == reference_document(
+        "csv", EnumerationBounds(4, 12))
+
+
 def test_a_failed_sweep_leaves_no_file_beside_out(capsys, monkeypatch, records):
     monkeypatch.setattr(comb, "SIEVE_LIMIT", 40)
     assert main(["sweep", "--max-mult", "4", "--max-beta", "30", "--out", str(records)]) == 2

@@ -39,15 +39,13 @@ from branch_invariants import (
 from branch_invariants.cli import (
     CSV_COLUMNS,
     SWEEP_TABLE_HEADER,
-    _class_dict,
     _record_row,
-    _report_dict,
     _table_row,
     main,
 )
 from branch_invariants.enumeration import THREADS_ENV_VAR, _prefixes, _subtrees
 from branch_invariants.invariants import decimal_ratio
-from oracles import brute_force_classes, resolution_invariance_reference
+from oracles import _class_dict, _report_dict, brute_force_classes, resolution_invariance_reference
 from test_stages import break_sigma
 
 SRC = Path(__file__).resolve().parent.parent / "src"
