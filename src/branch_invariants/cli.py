@@ -13,20 +13,23 @@ not bad input), 130 interrupted by Ctrl-C.  Each error is one stderr line.
 Formats: table (human), json (stable keys, exact integers, quotient as
 num/den plus fixed 6-place decimal string), csv (fixed column order,
 lists joined by ';', no quoting needed).  All output is UTF-8 and ends
-with a newline.  Output is written as it is produced.  The multiplicity
-sequence is rendered one run at a time, each run's text repeated once per
-point in pieces of at most _WRITE_CHUNK characters, so it reads as if
-written point by point.  Every JSON document and sweep record is laid out
-by %- and f-string templates, byte-equal to json.dumps(indent=2) of the
-same dicts; json.dumps itself only quotes a failed record's error.  sweep
-hands a row renderer down, so pool workers render the rows, and the
-parent writes each run's rows as the run arrives, after the document's
-head and before its tail: a sweep that fails has written whole rows
-only.  --out is opened before any work; the rows wait in an unnamed
-file beside it, and --out is rewritten in place only once the sweep
-succeeded, so a failed sweep leaves it as it was, and a file that only
-this opening made is removed again.  A reader that closes stdout early
-ends the command with exit 2 and one stderr line.
+with a newline.  invariants renders the semigroup, the multiplicity
+sequence and the report from one evaluation pass, which runs every
+identity before anything is written.  Output is written as it is
+produced.  The multiplicity sequence is rendered one run at a time, each
+run's text repeated once per point in pieces of at most _WRITE_CHUNK
+characters, so it reads as if written point by point.  Every JSON
+document and sweep record is laid out by %- and f-string templates,
+byte-equal to json.dumps(indent=2) of the same dicts; json.dumps itself
+only quotes a failed record's error.  sweep hands a row renderer down, so
+pool workers render the rows, and the parent writes each run's rows as
+the run arrives, after the document's head and before its tail: a sweep
+that fails has written whole rows only.  --out is opened before any
+work, an empty one failing like any path that cannot be opened; the
+rows wait in an unnamed file beside it, and --out is rewritten in place
+only once the sweep succeeded, so a failed sweep leaves it as it was,
+and a file that only this opening made is removed again.  A reader that
+closes stdout early ends the command with exit 2 and one stderr line.
 Error messages quote an input in at most errors.ECHO_LIMIT + 2
 characters, escapes included; argparse's errors are its one "prog: error:
 message" line, without usage, and a value it quoted is cut by the value's
@@ -48,7 +51,6 @@ from .combinatorics import (
     CharacteristicExponents,
     SemigroupGenerators,
     char_exponents_from_semigroup,
-    semigroup_from_char_exponents,
 )
 from .enumeration import EnumerationBounds, SweepRecord, SweepSummary, sweep
 from .errors import (
@@ -59,8 +61,9 @@ from .errors import (
     echo,
     echo_plain,
 )
-from .invariants import InvariantReport, decimal_ratio, full_report
-from .resolution import MultiplicitySequence, Run, multiplicity_sequence
+# full_report is not called here; it stays a module attribute, which tracing callers wrap by name
+from .invariants import InvariantReport, _checked_report, _evaluate, decimal_ratio, full_report
+from .resolution import MultiplicitySequence, Run
 from .selfcheck import run_identity_suite
 
 CSV_COLUMNS = [
@@ -238,10 +241,8 @@ def _csv_row(rec: SweepRecord) -> str:
 
 def cmd_invariants(args) -> int:
     c = _class_from_args(args)
-    # the pass first: a class out of range exits on its error, not on a sequence sum's
-    r = full_report(c)  # raises unless every identity holds
-    s = semigroup_from_char_exponents(c)
-    m = multiplicity_sequence(c)
+    v = _evaluate(c, {})  # the one pass, before anything is written
+    r, s, m = _checked_report(v), v.s, v.seq  # raises unless every identity holds
     if args.format == "json":
         head = _INVARIANTS_HEAD % (_json_class(c, 1), _json_ints(s.gens, 1))
         _repeated(m, _json_point, _ITEM_SEP, head, _INVARIANTS_TAIL % _json_report(r, 1))
@@ -349,8 +350,9 @@ def _write_sweep(out, fmt: str, bounds: EnumerationBounds) -> SweepSummary:
 
 def cmd_sweep(args) -> int:
     bounds = EnumerationBounds(args.max_mult, args.max_beta, args.max_pairs)
-    # opening --out follows a symlink, so its target is what may be made and removed
-    target = os.path.realpath(args.out) if args.out else None
+    # opening --out follows a symlink, so its target is what may be made and removed;
+    # an empty --out is a path too, one that fails to open
+    target = None if args.out is None else os.path.realpath(args.out)
     made = bool(target) and not os.path.exists(target)
     if target:
         # an unwritable --out fails here, before any class is evaluated

@@ -17,10 +17,15 @@ where the package now checks only where a value can leave that range.
 After them come the JSON shapes, as dicts, that the command line's
 templates must lay out byte for byte as json.dumps(indent=2) does: a
 class, a report, and json.dumps's layout of an item in a top-level list.
+Last is the invariants command's earlier route, which built the class
+three times (full_report, then the semigroup and the sequence again)
+and rendered them with the command line's templates.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
@@ -31,8 +36,13 @@ from branch_invariants import (
     CharacteristicExponents,
     InvariantReport,
     SemigroupGenerators,
+    SweepRecord,
     enumerate_classes,
+    full_report,
+    multiplicity_sequence,
+    semigroup_from_char_exponents,
 )
+import branch_invariants.cli as cli
 from branch_invariants.errors import (
     DivisibilityViolationError,
     DomainError,
@@ -353,3 +363,38 @@ def _class_dict(c: CharacteristicExponents) -> dict:
 def _json_item(obj) -> str:
     """obj as json.dumps(indent=2) lays it out in a list under a top-level key."""
     return json.dumps(obj, indent=2).replace("\n", "\n    ")
+
+
+def invariants_reference(c: CharacteristicExponents, fmt: str) -> str:
+    """The invariants command's stdout for c in fmt, by the three-call route.
+
+    full_report first, so a refused class raises its error before
+    anything is rendered; then the semigroup and the sequence are built
+    again and rendered with the command line's templates.
+    """
+    r = full_report(c)
+    s = semigroup_from_char_exponents(c)
+    m = multiplicity_sequence(c)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        if fmt == "json":
+            head = cli._INVARIANTS_HEAD % (cli._json_class(c, 1), cli._json_ints(s.gens, 1))
+            tail = cli._INVARIANTS_TAIL % cli._json_report(r, 1)
+            cli._repeated(m, cli._json_point, cli._ITEM_SEP, head, tail)
+        elif fmt == "csv":
+            header = ",".join(cli.CSV_COLUMNS + ["multiplicity_sequence"])
+            row = cli._csv_row(SweepRecord(c, s, r))
+            cli._repeated(m, cli._compact_point, ";", f"{header}\n{row},", "\n")
+        else:
+            head = f"class            {c}\nsemigroup        {s}\nmultiplicity sequence:\n"
+            tail = "".join([
+                f"\nmu               {r.mu}",
+                f"\ntau_minus        {r.tau_minus}",
+                f"\nq_min            {r.q_min}",
+                f"\ntau_min          {r.tau_min}",
+                f"\nmu/tau_min       {r.quotient_num}/{r.quotient_den} = {r.quotient_decimal()}",
+                f"\ntau lower bound  {r.tau_lower_bound}",
+                f"\ndelta_gen gaps   {r.delta_gen_gaps}\n",
+            ])
+            cli._repeated(m, cli._table_point, "\n", head, tail)
+    return out.getvalue()

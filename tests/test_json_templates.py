@@ -3,27 +3,36 @@
 The dict shapes are oracles' _class_dict and _report_dict; an invariants
 document, a sweep record and a sweep document must each equal what
 json.dumps lays out for them, including failed records whose error holds
-text that needs escaping.  The command line also keeps the module
-attributes a caller may wrap: full_report, sweep and run_identity_suite.
+text that needs escaping.  The invariants command's CSV and table output
+equal oracles' three-call route byte for byte, from one evaluation pass:
+one semigroup and one sequence built per query.  The command line also
+keeps the module attributes a caller may wrap: full_report, sweep and
+run_identity_suite.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import branch_invariants.cli as cli
+import branch_invariants.combinatorics as comb
 import branch_invariants.enumeration as en
+import branch_invariants.invariants as inv
+import branch_invariants.resolution as res
 import branch_invariants.selfcheck as sc
 from branch_invariants import (
     BranchInvariantError,
     CharacteristicExponents,
     EnumerationBounds,
+    InternalInvariantViolation,
     SweepRecord,
     evaluate_class,
     full_report,
@@ -31,7 +40,7 @@ from branch_invariants import (
     semigroup_from_char_exponents,
 )
 from branch_invariants.cli import _json_record, main
-from oracles import _class_dict, _json_item, _report_dict
+from oracles import _class_dict, _json_item, _report_dict, invariants_reference
 from test_differential import DEEP_BETA, DEEP_MULT, classes, huge_classes
 from test_sweep_shards import reference_document
 
@@ -99,6 +108,44 @@ def test_huge_invariants_document_equals_json_dumps_where_reported(c):
     assert_invariants_document(c)
 
 
+@settings(max_examples=100, deadline=None)
+@given(classes(max_mult=DEEP_MULT, max_beta=DEEP_BETA), st.sampled_from(["csv", "table"]))
+@example(CharacteristicExponents(2, (6001,)), "csv")
+@example(CharacteristicExponents(2, (6001,)), "table")
+@example(CharacteristicExponents(4, (6, 2003)), "csv")
+@example(CharacteristicExponents(4, (6, 2003)), "table")
+@example(CharacteristicExponents(97, (20000,)), "csv")
+@example(CharacteristicExponents(97, (20000,)), "table")
+@example(CharacteristicExponents(2, (1000000000000000001,)), "csv")  # a sieve above SIEVE_LIMIT
+@example(CharacteristicExponents(3, (9223372036854775807,)), "table")  # a sum above int64
+def test_invariants_output_equals_the_three_call_route(c, fmt):
+    code, out, err = run_main(["invariants", "--char-exponents", exponents_arg(c),
+                               "--format", fmt])
+    try:
+        want = invariants_reference(c, fmt)
+    except BranchInvariantError as exc:  # refused on both routes: the same one line, no output
+        if isinstance(exc, InternalInvariantViolation):
+            assert (code, err) == (3, f"internal invariant violation: {exc}\n")
+        else:
+            assert (code, err) == (2, f"error: {exc}\n")
+        assert out == ""
+        return
+    assert (code, err) == (0, "")
+    assert out == want
+
+
+# sha256 of the invariants command's stdout, by exponents and format, pinned
+# from the three-call route's output; CI checks the same digests in a process
+PINNED = json.loads((Path(__file__).parent / "expected_invariants.json").read_text())
+
+
+@pytest.mark.parametrize("exps, fmt", [(e, f) for e, digests in PINNED.items() for f in digests])
+def test_invariants_output_matches_its_pinned_digest(exps, fmt):
+    code, out, err = run_main(["invariants", "--char-exponents", exps, "--format", fmt])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED[exps][fmt]
+
+
 # error text: quotes, backslashes, control characters, non-ASCII, lone surrogates
 error_texts = st.one_of(
     st.text(st.characters(exclude_categories=())),
@@ -149,22 +196,40 @@ def test_sweep_document_equals_json_dumps(box, max_pairs):
     assert out == reference_document("json", EnumerationBounds(*box, max_pairs))
 
 
+def counted_calls(monkeypatch, real) -> list:
+    """The first argument of every later call to real, through every module global.
+
+    Each package module that holds real as a global gets the same
+    counting wrapper, so no route to it goes uncounted.
+    """
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    for module in (cli, comb, en, inv, res, sc):
+        if getattr(module, real.__name__, None) is real:
+            monkeypatch.setattr(module, real.__name__, counted)
+    return calls
+
+
 class TestWrappedAttributes:
-    """cli calls full_report, sweep and run_identity_suite through its module globals."""
+    """invariants builds its class once; full_report, sweep and the suite stay cli globals."""
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
-    def test_invariants_calls_the_module_full_report_once(self, monkeypatch, fmt):
-        calls = []
-
-        def counted(c):
-            calls.append(c)
-            return full_report(c)
-
-        monkeypatch.setattr(cli, "full_report", counted)
-        code, out, _ = run_main(["invariants", "--pair", "5,7", "--format", fmt])
-        assert code == 0 and out
-        assert calls == [CharacteristicExponents(5, (7,))]
+    def test_invariants_builds_the_semigroup_and_the_sequence_once(self, monkeypatch, fmt):
+        semigroups = counted_calls(monkeypatch, comb.semigroup_from_char_exponents)
+        sequences = counted_calls(monkeypatch, res._build_sequence)
+        for c in (CharacteristicExponents(5, (7,)), CharacteristicExponents(8, (12, 14, 15))):
+            semigroups.clear()
+            sequences.clear()
+            code, out, _ = run_main(["invariants", "--char-exponents", exponents_arg(c),
+                                     "--format", fmt])
+            assert code == 0 and out
+            assert (semigroups, sequences) == ([c], [c])
 
     def test_sweep_and_suite_are_module_attributes(self):
+        assert cli.full_report is inv.full_report
         assert cli.sweep is en.sweep
         assert cli.run_identity_suite is sc.run_identity_suite

@@ -174,6 +174,16 @@ def test_a_failed_sweep_leaves_no_file_beside_out(capsys, monkeypatch, records):
     assert sorted(records.parent.iterdir()) == [records]
 
 
+def test_an_empty_out_fails_to_open_like_any_other_path(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)  # "" resolves to the working directory, which stays
+    assert main(["sweep", "--max-mult", "3", "--max-beta", "5", "--format", "csv",
+                 "--out", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert tmp_path.is_dir() and list(tmp_path.iterdir()) == []
+
+
 class HashingSink:
     """A stdout that keeps only the size and sha256 of what is written to it."""
 
