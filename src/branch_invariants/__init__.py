@@ -9,6 +9,8 @@ the generic count of differential-value gaps.  Enumeration and sweep
 helpers verify the defining identities over boxes of classes.
 """
 
+from types import ModuleType as _ModuleType
+
 from .combinatorics import (
     CharacteristicExponents,
     SemigroupGenerators,
@@ -65,49 +67,6 @@ from .selfcheck import CheckResult, run_identity_suite
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BranchInvariantError",
-    "CharacteristicExponents",
-    "CheckResult",
-    "DivisibilityViolationError",
-    "DomainError",
-    "EnumerationBounds",
-    "GcdNotOneError",
-    "InternalInvariantViolation",
-    "InvariantReport",
-    "MultiplicitySequence",
-    "NegativeGapCountError",
-    "NonIncreasingError",
-    "NotPlaneError",
-    "NotSingularError",
-    "OverflowLimitError",
-    "PointKind",
-    "Run",
-    "SemigroupGenerators",
-    "SweepRecord",
-    "SweepSummary",
-    "ValidationError",
-    "adjusted_multiplicity",
-    "append_smooth_points",
-    "char_exponents_from_semigroup",
-    "conductor",
-    "differential_gap_count",
-    "dimca_greuel_margin",
-    "enumerate_classes",
-    "evaluate_class",
-    "full_report",
-    "gap_count",
-    "generic_component_dim",
-    "milnor_number",
-    "minimal_tjurina",
-    "moduli_dim_term",
-    "mu_constant_stratum_dim",
-    "multiplicity_sequence",
-    "report_gap_count",
-    "run_identity_suite",
-    "semigroup_from_char_exponents",
-    "sweep",
-    "tjurina_lower_bound",
-    "validate_char_exponents",
-    "validate_semigroup",
-]
+# the public names imported above, not the submodules that importing them binds
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -6,9 +6,10 @@ Subcommands:
     check        run the named identity suite over a box
 
 Exit codes: 0 success, 1 a check or identity failed, 2 invalid input
-(including a class whose membership sieve would exceed SIEVE_LIMIT) or
-output that cannot be written, 3 internal invariant violation (a bug,
-not bad input), 130 interrupted by Ctrl-C.  Each error is one stderr line.
+(including a class whose membership sieve would exceed SIEVE_LIMIT),
+output that cannot be written, or a pool worker that died, 3 internal
+invariant violation (a bug, not bad input), 130 interrupted by Ctrl-C.
+Each error is one stderr line.
 
 Formats: table (human), json (stable keys, exact integers, quotient as
 num/den plus fixed 6-place decimal string), csv (fixed column order,
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import contextlib
 import functools
 import json
 import os
@@ -339,12 +341,10 @@ def _write_sweep(out, fmt: str, bounds: EnumerationBounds) -> SweepSummary:
             started = True
 
     summary = sweep(bounds, render=render, write=write)[1]
-    tail = ""
     if header is None:
         q = summary.max_quotient
-        tail = _SWEEP_TAIL % (summary.classes, _json_quotient(q.numerator, q.denominator, 2),
-                              summary.failed)
-    out.write(tail if started else head + tail)
+        out.write(_SWEEP_TAIL % (summary.classes, _json_quotient(q.numerator, q.denominator, 2),
+                                 summary.failed))
     return summary
 
 
@@ -373,7 +373,8 @@ def cmd_sweep(args) -> int:
             summary = _write_sweep(sys.stdout, args.format, bounds)
     except BaseException:
         if made:  # a failed sweep leaves no file where there was none
-            os.remove(target)
+            with contextlib.suppress(OSError):  # gone already, or not removable: the error stands
+                os.remove(target)
         raise
     print(
         f"classes: {summary.classes}  "

@@ -200,14 +200,15 @@ def _walk(bounds: EnumerationBounds, run: Callable, workers: int | None) -> Iter
     worker's table, with at most two tasks per worker submitted ahead of
     the run the caller holds, so a slow caller does not pile up finished
     runs.  Callers close the generator when they stop early: an error or
-    Ctrl-C cancels the tasks not started.
+    Ctrl-C cancels the tasks not started.  A worker that dies raises
+    ChildProcessError, an OSError, so the command line exits 2.
     """
     count = _worker_count(workers)
     prefixes = list(_prefixes(bounds))
     tasks = [prefixes[i:i + TASK_PREFIXES] for i in range(0, len(prefixes), TASK_PREFIXES)]
     if count > 1 and len(tasks) > 1:
         import signal  # the pool's modules load here: a serial command imports none
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
         size = min(count, len(tasks))
         # Ctrl-C is the parent's to handle
         pool = ProcessPoolExecutor(size, initializer=signal.signal,
@@ -220,6 +221,8 @@ def _walk(bounds: EnumerationBounds, run: Callable, workers: int | None) -> Iter
                     yield from ahead.popleft()
             while ahead:
                 yield from ahead.popleft()
+        except BrokenExecutor as exc:  # a worker died, and its run with it
+            raise ChildProcessError("a pool worker ended abruptly") from exc
         finally:
             pool.shutdown(cancel_futures=True)
     else:

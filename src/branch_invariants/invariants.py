@@ -52,6 +52,7 @@ from .combinatorics import (
 )
 from .errors import (
     INT64_MAX,
+    INT64_MIN,
     DomainError,
     InternalInvariantViolation,
     NegativeGapCountError,
@@ -60,7 +61,6 @@ from .errors import (
     check_int64,
     check_rows,
     exact_div,
-    failing_rows,
 )
 from .resolution import (
     SEQUENCE_IDENTITIES,
@@ -103,9 +103,10 @@ def adjusted_multiplicity(p: Run) -> int:
     """e_p at the origin, e_p + 1 at free points, e_p + 2 at satellites."""
     if p.kind is _ORIGIN:
         return p.multiplicity
-    if p.kind is _FREE:
-        return p.multiplicity + 1
-    return p.multiplicity + 2
+    k = p.multiplicity + 1 if p.kind is _FREE else p.multiplicity + 2
+    if k > INT64_MAX:  # the one edge an in-range multiplicity can pass
+        check_int64(k)
+    return k
 
 
 def _run_sum(m: MultiplicitySequence, term: Callable[[Run], int]) -> int:
@@ -298,7 +299,10 @@ def dimca_greuel_margin(r: InvariantReport) -> int:
     Any record with mu and tau_min fields will do, not only a report.
     """
     check_int64(r.tau_min, r.mu, 4 * r.tau_min, 3 * r.mu)
-    return 4 * r.tau_min - 3 * r.mu
+    margin = 4 * r.tau_min - 3 * r.mu
+    if not INT64_MIN <= margin <= INT64_MAX:
+        check_int64(margin)
+    return margin
 
 
 def _evaluate(c: CharacteristicExponents, table: dict) -> SimpleNamespace:

@@ -117,6 +117,19 @@ class TestOutOnFailure:
         assert main(["sweep", "--max-mult", "4", "--max-beta", "30", "--out", str(target)]) == code
         assert not target.exists()
 
+    def test_a_new_out_deleted_during_the_sweep_keeps_the_sweep_error(
+            self, capsys, monkeypatch, tmp_path):
+        target = tmp_path / "new.csv"
+
+        def delete_and_interrupt(c, table):
+            target.unlink()
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(en, "_evaluate", delete_and_interrupt)
+        code = main(["sweep", "--max-mult", "4", "--max-beta", "30", "--out", str(target)])
+        assert (code, capsys.readouterr().err) == (130, "interrupted\n")
+        assert not target.exists()
+
     def test_success_replaces_out(self, capsys, tmp_path):
         target = tmp_path / "records.csv"
         target.write_text("old\n" * 100, encoding="utf-8")

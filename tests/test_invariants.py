@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from branch_invariants import (
     EnumerationBounds,
     InvariantReport,
     NegativeGapCountError,
+    OverflowLimitError,
     PointKind,
     Run,
     SemigroupGenerators,
@@ -76,6 +79,11 @@ class TestAdjustedMultiplicity:
         assert adjusted_multiplicity(Run(4, 1, PointKind.ORIGIN, 1)) == 4
         assert adjusted_multiplicity(Run(4, 1, PointKind.FREE, 1)) == 5
         assert adjusted_multiplicity(Run(4, 1, PointKind.SATELLITE, 1)) == 6
+
+    @pytest.mark.parametrize("kind", [PointKind.FREE, PointKind.SATELLITE])
+    def test_a_result_out_of_64_bits_is_refused(self, kind):
+        with pytest.raises(OverflowLimitError):
+            adjusted_multiplicity(Run(INT64_MAX, 1, kind, 1))
 
 
 class TestMilnor:
@@ -179,6 +187,12 @@ class TestMargin:
             )
             assert margin >= 2 * c.n - 3 + slack > 0, str(c)
             assert 3 * r.mu < 4 * r.tau_min
+
+    @pytest.mark.parametrize("tau_min, mu", [(2**60, -2**61), (-2**60, 2**61)])
+    def test_a_margin_out_of_64_bits_is_refused(self, tau_min, mu):
+        # 4 tau_min and 3 mu fit in 64 bits, their difference does not
+        with pytest.raises(OverflowLimitError):
+            dimca_greuel_margin(SimpleNamespace(tau_min=tau_min, mu=mu))
 
 
 class TestDifferentialGaps:

@@ -379,6 +379,33 @@ def test_ctrl_c_exits_130_with_one_line(capsys, monkeypatch, command, module, th
     assert captured.out == ""
 
 
+def die_at_7_9(c, table):
+    """_evaluate, except that a pool worker meeting (7; 9) ends at once."""
+    if (c.n, c.beta) == (7, (9,)) and multiprocessing.parent_process() is not None:
+        os._exit(1)
+    return inv._evaluate(c, table)
+
+
+@forks
+@pytest.mark.parametrize("command, module", [
+    (["sweep", "--format", "csv"], en),
+    (["check"], sc),
+], ids=["sweep", "check"])
+def test_a_dead_worker_exits_2_with_one_line(capsys, monkeypatch, command, module):
+    monkeypatch.setattr(module, "_evaluate", die_at_7_9)
+    monkeypatch.setattr(sc, "SIGMA_BOUND_LIMIT", 10)  # the scan is not under test
+    monkeypatch.setenv(THREADS_ENV_VAR, "2")
+    assert main([*command, "--max-mult", "8", "--max-beta", "40"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: a pool worker ended abruptly\n"
+    # a sweep has written whole rows of the runs before the lost one, check nothing
+    if module is en:
+        reference = reference_document("csv", EnumerationBounds(8, 40))
+        assert reference.startswith(captured.out) and "\n7,7;9," not in captured.out
+    else:
+        assert captured.out == ""
+
+
 @pytest.mark.skipif(sys.platform == "win32", reason="no SIGINT to send")
 def test_sigint_stops_a_parallel_sweep():
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
