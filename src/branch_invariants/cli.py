@@ -25,17 +25,23 @@ byte-equal to json.dumps(indent=2) of the same dicts; json.dumps itself
 only quotes a failed record's error.  sweep hands a row renderer down, so
 pool workers render the rows, and the parent writes each run's rows as
 the run arrives, after the document's head and before its tail: a sweep
-that fails has written whole rows only.  --out is opened before any
-work, an empty one failing like any path that cannot be opened; the
-rows wait in an unnamed file beside it, and --out is rewritten in place
-only once the sweep succeeded, so a failed sweep leaves it as it was,
-and a file that only this opening made is removed again.  A reader that
-closes stdout early ends the command with exit 2 and one stderr line.
+that fails has written whole rows only.  An --out that is this
+process's stdout (fd 1's device and inode) is written as if there were
+no --out.  One that exists and is not a regular file (a pipe, a FIFO, a
+device) is opened once, before any work, and gets the rows as they
+arrive.  A regular or new --out is opened before any work, an empty one
+failing like any path that cannot be opened; the rows wait in an
+unnamed file beside it, and --out is rewritten in place only once the
+sweep succeeded, so a failed sweep leaves it as it was, and a file that
+only this opening made is removed again.  A reader that closes stdout
+early ends the command with exit 2 and one stderr line.
 Error messages quote an input in at most errors.ECHO_LIMIT + 2
 characters, escapes included; argparse's errors are its one "prog: error:
 message" line, without usage, and a value it quoted is cut by the value's
 own head and length.  check walks its box on the workers sweep would use.
-main builds its argument parser once per process, on its first call.
+main builds its argument parser once per process, on its first call.  An
+argv that starts with a command word is parsed by that command's parser;
+any other argv is parsed by the top-level parser.
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ import functools
 import json
 import os
 import re
+import stat
 import sys
 
 from .combinatorics import (
@@ -348,34 +355,57 @@ def _write_sweep(out, fmt: str, bounds: EnumerationBounds) -> SweepSummary:
     return summary
 
 
-def cmd_sweep(args) -> int:
-    bounds = EnumerationBounds(args.max_mult, args.max_beta, args.max_pairs)
-    # opening --out follows a symlink, so its target is what may be made and removed;
-    # an empty --out is a path too, one that fails to open
-    target = None if args.out is None else os.path.realpath(args.out)
-    made = bool(target) and not os.path.exists(target)
-    if target:
-        # an unwritable --out fails here, before any class is evaluated
-        open(args.out, "a", encoding="utf-8").close()
+def _write_file(path: str, fmt: str, bounds: EnumerationBounds) -> SweepSummary:
+    """Write the sweep document to the regular or new file path once the sweep succeeded.
+
+    path is opened before any work; the rows wait in an unnamed file beside
+    it, and path is rewritten in place only at the end, so a failed sweep
+    leaves it as it was, and a file that only this opening made is removed.
+    """
+    # opening path follows a symlink, so its target is what may be made and removed;
+    # an empty path is a path too, one that fails to open
+    target = os.path.realpath(path)
+    made = not os.path.exists(target)
+    # an unwritable path fails here, before any class is evaluated
+    open(path, "a", encoding="utf-8").close()
     try:
-        if target:
-            import shutil
-            import tempfile
-            # the rows wait in an unnamed file on the output's own file system;
-            # --out is rewritten in place, and only once the sweep succeeded
-            where = os.path.dirname(target)
-            with tempfile.TemporaryFile("w+", encoding="utf-8", dir=where) as rows:
-                summary = _write_sweep(rows, args.format, bounds)
-                rows.seek(0)
-                with open(args.out, "w", encoding="utf-8") as out:
-                    shutil.copyfileobj(rows, out)
-        else:
-            summary = _write_sweep(sys.stdout, args.format, bounds)
+        import shutil
+        import tempfile
+        # the rows wait on the output's own file system
+        with tempfile.TemporaryFile("w+", encoding="utf-8", dir=os.path.dirname(target)) as rows:
+            summary = _write_sweep(rows, fmt, bounds)
+            rows.seek(0)
+            with open(path, "w", encoding="utf-8") as out:
+                shutil.copyfileobj(rows, out)
     except BaseException:
         if made:  # a failed sweep leaves no file where there was none
             with contextlib.suppress(OSError):  # gone already, or not removable: the error stands
                 os.remove(target)
         raise
+    return summary
+
+
+def _is_stdout(found: os.stat_result) -> bool:
+    """Whether found is the file this process's fd 1 is open on."""
+    try:
+        return os.path.samestat(found, os.fstat(1))
+    except OSError:  # no stdout
+        return False
+
+
+def cmd_sweep(args) -> int:
+    bounds = EnumerationBounds(args.max_mult, args.max_beta, args.max_pairs)
+    try:
+        found = None if args.out is None else os.stat(args.out)
+    except OSError:  # a new path, or one that fails to open in _write_file
+        found = None
+    if args.out is None or found is not None and _is_stdout(found):  # stdout, named or not
+        summary = _write_sweep(sys.stdout, args.format, bounds)
+    elif found is None or stat.S_ISREG(found.st_mode):
+        summary = _write_file(args.out, args.format, bounds)
+    else:  # a pipe, FIFO or device, opened once (a FIFO's open waits for its reader)
+        with open(args.out, "w", encoding="utf-8") as out:
+            summary = _write_sweep(out, args.format, bounds)
     print(
         f"classes: {summary.classes}  "
         f"max mu/tau_min: {summary.max_quotient.numerator}/"
@@ -421,10 +451,24 @@ class _OneLineParser(argparse.ArgumentParser):
     """
 
     def parse_args(self, args=None, namespace=None):
-        args, extras = self.parse_known_args(args, namespace)
+        """argparse's parse_args, an argv that starts with a command word read by that command's parser.
+
+        The top-level pass over such an argv only finds the word and hands
+        the rest to the word's parser, so the namespace is the same without
+        it.  Any other argv (none, -h, a leading --, an unknown command)
+        takes the top-level pass.
+        """
+        argv = sys.argv[1:] if args is None else list(args)
+        # each command word's parser: the choices of the subparsers action
+        commands = next((a.choices for a in self._actions if a.dest == "command"), {})
+        if namespace is None and argv and argv[0] in commands:
+            parsed, extras = commands[argv[0]].parse_known_args(
+                argv[1:], argparse.Namespace(command=argv[0]))
+        else:
+            parsed, extras = self.parse_known_args(argv, namespace)
         if extras:  # argparse's own message, the extras cut as one text
             self.error(f"unrecognized arguments: {echo_plain(' '.join(extras))}")
-        return args
+        return parsed
 
     def error(self, message: str):
         self.exit(2, f"{self.prog}: error: {_ARGV_TEXT.sub(_cut_argv_text, message)}\n")

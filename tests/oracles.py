@@ -17,13 +17,16 @@ where the package now checks only where a value can leave that range.
 After them come the JSON shapes, as dicts, that the command line's
 templates must lay out byte for byte as json.dumps(indent=2) does: a
 class, a report, and json.dumps's layout of an item in a top-level list.
-Last is the invariants command's earlier route, which built the class
+Then comes the invariants command's earlier route, which built the class
 three times (full_report, then the semigroup and the sequence again)
-and rendered them with the command line's templates.
+and rendered them with the command line's templates.  Last is the
+command line's earlier parse route: argparse's top-level pass over
+every argv, then the error for the words it left over.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -398,3 +401,16 @@ def invariants_reference(c: CharacteristicExponents, fmt: str) -> str:
             ])
             cli._repeated(m, cli._table_point, "\n", head, tail)
     return out.getvalue()
+
+
+def parse_reference(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """parser's reading of argv by the top-level pass, whatever argv's first word.
+
+    The subparsers action hands what follows a command word to that
+    command's parser; words nobody read end in the top-level parser's
+    "unrecognized arguments" error.
+    """
+    args, extras = parser.parse_known_args(argv)
+    if extras:
+        parser.error(f"unrecognized arguments: {echo_plain(' '.join(extras))}")
+    return args
