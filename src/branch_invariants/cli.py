@@ -25,16 +25,18 @@ byte-equal to json.dumps(indent=2) of the same dicts; json.dumps itself
 only quotes a failed record's error.  sweep hands a row renderer down, so
 pool workers render the rows, and the parent writes each run's rows as
 the run arrives, after the document's head and before its tail: a sweep
-that fails has written whole rows only.  An --out that is this
-process's stdout (fd 1's device and inode) is written as if there were
-no --out.  One that exists and is not a regular file (a pipe, a FIFO, a
-device) is opened once, before any work, and gets the rows as they
-arrive.  A regular or new --out is opened before any work, an empty one
-failing like any path that cannot be opened; the rows wait in an
-unnamed file beside it, and --out is rewritten in place only once the
-sweep succeeded, so a failed sweep leaves it as it was, and a file that
-only this opening made is removed again.  A reader that closes stdout
-early ends the command with exit 2 and one stderr line.
+that fails has written whole rows only.  sweep decides its destination
+once, before any work.  An --out that names the file behind fd 1 or fd 2
+is written through that stream as if there were no --out: the rows,
+then the summary, stdout flushed between them.  Any other --out is
+opened once, in append mode, which is also its writability check; a
+regular file gets the document only once the sweep succeeded, that same
+open file truncated and rewritten in place, and any other file gets the
+rows as they arrive.  A command ends with exit 2 and one stderr line when
+its stdout cannot be written: a reader that closed it early, or a
+process started with it closed.  The one stderr line is best effort and
+never goes to stdout; the summary of sweep is output, exit 2 if it
+cannot be written.
 Error messages quote an input in at most errors.ECHO_LIMIT + 2
 characters, escapes included; argparse's errors are its one "prog: error:
 message" line, without usage, and a value it quoted is cut by the value's
@@ -49,6 +51,7 @@ from __future__ import annotations
 import argparse
 import ast
 import contextlib
+import errno
 import functools
 import json
 import os
@@ -121,6 +124,14 @@ def _class_from_args(args) -> CharacteristicExponents:
     return CharacteristicExponents(pair[0], (pair[1],))
 
 
+def _stream(name: str):
+    """sys.stdout or sys.stderr, by name; OSError if the process was started with it closed."""
+    stream = getattr(sys, name)
+    if stream is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF), f"<{name}>")
+    return stream
+
+
 # the most characters one write of the multiplicity sequence carries (one point at least)
 _WRITE_CHUNK = 1 << 16
 
@@ -133,7 +144,7 @@ def _repeated(m: MultiplicitySequence, render, sep: str, head: str = "", tail: s
     its sep: the cost per point is a string copy, not a Python call, and
     no more than one piece is held at a time.
     """
-    write = sys.stdout.write
+    write = _stream("stdout").write
     write(head)
     counts = [run.count for run in m.runs]
     counts[-1] -= 1  # the last point goes out with the tail
@@ -355,75 +366,77 @@ def _write_sweep(out, fmt: str, bounds: EnumerationBounds) -> SweepSummary:
     return summary
 
 
-def _write_file(path: str, fmt: str, bounds: EnumerationBounds) -> SweepSummary:
-    """Write the sweep document to the regular or new file path once the sweep succeeded.
+def _std_stream(path: str):
+    """sys.stdout or sys.stderr if path names the file behind fd 1 or fd 2, else None."""
+    for fd, stream in ((1, sys.stdout), (2, sys.stderr)):
+        with contextlib.suppress(OSError):  # a new path, or one that fails to open; or fd is closed
+            if os.path.samestat(os.stat(path), os.fstat(fd)):
+                return stream
+    return None
 
-    path is opened before any work; the rows wait in an unnamed file beside
-    it, and path is rewritten in place only at the end, so a failed sweep
-    leaves it as it was, and a file that only this opening made is removed.
+
+@contextlib.contextmanager
+def _sweep_out(path: str | None):
+    """Yield the stream a sweep's document goes to, decided and opened before any work.
+
+    No path, or one that names the file behind fd 1 or fd 2, is that
+    standard stream, flushed after the rows so that they come before the
+    summary.  Any other path is opened once, in append mode, which also
+    checks that it can be written.  A regular file gets the document
+    only once the sweep succeeded: the rows wait in an unnamed file beside
+    it, then the same open file is truncated and rewritten in place, and
+    a file that only this opening made is removed again if the sweep
+    fails.  Any other file (a pipe, a FIFO, a device) gets the rows as
+    they arrive.
     """
+    std = _stream("stdout") if path is None else _std_stream(path)
+    if std is not None:
+        yield std
+        std.flush()
+        return
     # opening path follows a symlink, so its target is what may be made and removed;
     # an empty path is a path too, one that fails to open
     target = os.path.realpath(path)
     made = not os.path.exists(target)
-    # an unwritable path fails here, before any class is evaluated
-    open(path, "a", encoding="utf-8").close()
     try:
-        import shutil
-        import tempfile
-        # the rows wait on the output's own file system
-        with tempfile.TemporaryFile("w+", encoding="utf-8", dir=os.path.dirname(target)) as rows:
-            summary = _write_sweep(rows, fmt, bounds)
-            rows.seek(0)
-            with open(path, "w", encoding="utf-8") as out:
+        with open(path, "a", encoding="utf-8") as out:
+            if not stat.S_ISREG(os.fstat(out.fileno()).st_mode):
+                yield out
+                return
+            import shutil
+            import tempfile
+            # the rows wait on the output's own file system
+            with tempfile.TemporaryFile("w+", encoding="utf-8", dir=os.path.dirname(target)) as rows:
+                yield rows
+                rows.seek(0)
+                out.truncate(0)
                 shutil.copyfileobj(rows, out)
     except BaseException:
         if made:  # a failed sweep leaves no file where there was none
-            with contextlib.suppress(OSError):  # gone already, or not removable: the error stands
+            with contextlib.suppress(OSError):  # never made, gone already, or not removable: the error stands
                 os.remove(target)
         raise
-    return summary
-
-
-def _is_stdout(found: os.stat_result) -> bool:
-    """Whether found is the file this process's fd 1 is open on."""
-    try:
-        return os.path.samestat(found, os.fstat(1))
-    except OSError:  # no stdout
-        return False
 
 
 def cmd_sweep(args) -> int:
     bounds = EnumerationBounds(args.max_mult, args.max_beta, args.max_pairs)
-    try:
-        found = None if args.out is None else os.stat(args.out)
-    except OSError:  # a new path, or one that fails to open in _write_file
-        found = None
-    if args.out is None or found is not None and _is_stdout(found):  # stdout, named or not
-        summary = _write_sweep(sys.stdout, args.format, bounds)
-    elif found is None or stat.S_ISREG(found.st_mode):
-        summary = _write_file(args.out, args.format, bounds)
-    else:  # a pipe, FIFO or device, opened once (a FIFO's open waits for its reader)
-        with open(args.out, "w", encoding="utf-8") as out:
-            summary = _write_sweep(out, args.format, bounds)
-    print(
-        f"classes: {summary.classes}  "
-        f"max mu/tau_min: {summary.max_quotient.numerator}/"
-        f"{summary.max_quotient.denominator}  "
-        f"failed checks: {summary.failed}",
-        file=sys.stderr,
-    )
+    with _sweep_out(args.out) as out:
+        summary = _write_sweep(out, args.format, bounds)
+    q = summary.max_quotient
+    print(f"classes: {summary.classes}  max mu/tau_min: {q.numerator}/{q.denominator}  "
+          f"failed checks: {summary.failed}", file=_stream("stderr"), flush=True)
     return 1 if summary.failed else 0
 
 
 def cmd_check(args) -> int:
+    out = _stream("stdout")  # a closed stdout fails before the suite runs
     bounds = EnumerationBounds(args.max_mult, args.max_beta)
     results = run_identity_suite(bounds)
     for res in results:
-        print(f"ok   {res.name}" if res.passed else f"FAIL {res.name}: {res.detail}")
+        print(f"ok   {res.name}" if res.passed else f"FAIL {res.name}: {res.detail}", file=out)
     failed = [res.name for res in results if not res.passed]
     if failed:
-        print(f"first failing identity: {failed[0]}")
+        print(f"first failing identity: {failed[0]}", file=out)
         return 1
     return 0
 
@@ -471,7 +484,7 @@ class _OneLineParser(argparse.ArgumentParser):
         return parsed
 
     def error(self, message: str):
-        self.exit(2, f"{self.prog}: error: {_ARGV_TEXT.sub(_cut_argv_text, message)}\n")
+        sys.exit(_fail(2, f"{self.prog}: error: {_ARGV_TEXT.sub(_cut_argv_text, message)}"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -520,31 +533,38 @@ def build_parser() -> argparse.ArgumentParser:
 _shared_parser = functools.cache(build_parser)
 
 
-def _drop_stdout() -> None:
-    """Point stdout at os.devnull if its reader is gone, so the flush at exit cannot fail again."""
-    try:
-        sys.stdout.flush()
-    except OSError:  # the pipe is closed and still holds buffered text
-        null = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(null, sys.stdout.fileno())
-        os.close(null)
+def _fail(code: int, line: str) -> int:
+    """Flush stdout, write line to stderr, and return code; a lost line leaves code as it is.
+
+    Each is best effort, as argparse's own messages are, and line never
+    goes to stdout instead.  A standard stream that cannot be written is
+    pointed at os.devnull, so that the flush at exit cannot fail again.
+    """
+    for stream, text in ((sys.stdout, ""), (sys.stderr, line + "\n")):
+        if stream is not None:  # None: the process was started with it closed
+            try:
+                stream.write(text)
+                stream.flush()
+            except OSError:  # a closed pipe, or an fd that is not open for writing
+                null = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(null, stream.fileno())
+                os.close(null)
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        if sys.stdout is not None:  # flushed here, so a failed write is exit 2, not 120 at exit
+            sys.stdout.flush()
+        return code
     except (ValidationError, OverflowLimitError, OSError) as exc:  # OSError: on output
-        print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, BrokenPipeError):
-            _drop_stdout()
-        return 2
+        return _fail(2, f"error: {exc}")
     except InternalInvariantViolation as exc:
-        print(f"internal invariant violation: {exc}", file=sys.stderr)
-        return 3
+        return _fail(3, f"internal invariant violation: {exc}")
     except KeyboardInterrupt:
-        print("interrupted", file=sys.stderr)
-        return 130
+        return _fail(130, "interrupted")
 
 
 if __name__ == "__main__":
