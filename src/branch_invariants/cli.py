@@ -34,9 +34,9 @@ regular file gets the document only once the sweep succeeded, that same
 open file truncated and rewritten in place, and any other file gets the
 rows as they arrive.  A command ends with exit 2 and one stderr line when
 its stdout cannot be written: a reader that closed it early, or a
-process started with it closed.  The one stderr line is best effort and
-never goes to stdout; the summary of sweep is output, exit 2 if it
-cannot be written.
+process started with it closed; -h too, as its help is output.  The
+one stderr line is best effort and never goes to stdout; the summary of
+sweep is output, exit 2 if it cannot be written.
 Error messages quote an input in at most errors.ECHO_LIMIT + 2
 characters, escapes included; argparse's errors are its one "prog: error:
 message" line, without usage, and a value it quoted is cut by the value's
@@ -250,7 +250,7 @@ def _record_row(rec: SweepRecord) -> list[str]:
         ";".join(map(str, (c.n, *c.beta))),
         ";".join(map(str, rec.semigroup.gens)) if rec.semigroup else "",
         *values,
-        "1" if rec.passed else "0",
+        "1" if rec.error is None else "0",  # rec.passed, without the property's call
     ]
 
 
@@ -486,6 +486,16 @@ class _OneLineParser(argparse.ArgumentParser):
     def error(self, message: str):
         sys.exit(_fail(2, f"{self.prog}: error: {_ARGV_TEXT.sub(_cut_argv_text, message)}"))
 
+    def print_help(self, file=None):
+        """argparse's help, written to stdout and flushed: a stdout it cannot write raises OSError.
+
+        argparse's own falls back to stderr when stdout is closed and drops
+        a failed write, so -h would exit 0 with its help lost.
+        """
+        out = _stream("stdout") if file is None else file
+        out.write(self.format_help())
+        out.flush()
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _OneLineParser(
@@ -553,8 +563,8 @@ def _fail(code: int, line: str) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _shared_parser().parse_args(argv)
     try:
+        args = _shared_parser().parse_args(argv)  # -h writes to stdout, so it may raise OSError
         code = args.func(args)
         if sys.stdout is not None:  # flushed here, so a failed write is exit 2, not 120 at exit
             sys.stdout.flush()

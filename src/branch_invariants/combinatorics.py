@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate
+from operator import floordiv
 from types import SimpleNamespace
 
 from .errors import (
@@ -161,7 +162,7 @@ def _validate_generators(gens: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[
             f"v_1 = {gens[1]} must exceed the multiplicity v_0 = {gens[0]}"
         )
     chain = list(accumulate(gens, math.gcd))
-    mult = tuple(e // e_next for e, e_next in zip(chain, chain[1:]))
+    mult = tuple(map(floordiv, chain, chain[1:]))
     # the domination inequality is diagnosed first: inputs like <4, 6, 12>
     # fail several conditions at once and the useful message is this one
     for i, n_i in enumerate(mult[:-1], start=1):
@@ -204,7 +205,7 @@ def semigroup_from_char_exponents(c: CharacteristicExponents) -> SemigroupGenera
     chain, beta = c.gcd_chain, c.beta
     gens = [c.n, beta[0]]
     acc = 0
-    for i in range(1, c.g):
+    for i in range(1, len(beta)):
         # e_0 = n, so the j = 1 term is (n - e_1) beta_1
         acc += (chain[i - 1] - chain[i]) * beta[i - 1]
         v = exact_div(acc, chain[i], "generator accumulator") + beta[i]
@@ -221,7 +222,7 @@ def _exponents_from_generators(s: SemigroupGenerators) -> tuple[int, tuple[int, 
     already valid.
     """
     beta = [s.gens[1]]
-    for i in range(1, s.g):
+    for i in range(1, len(s.gens) - 1):
         beta.append(s.gens[i + 1] - s.multipliers[i - 1] * s.gens[i] + beta[i - 1])
     return s.gens[0], tuple(beta)
 
@@ -261,8 +262,10 @@ def _membership_sieve(gens: tuple[int, ...], limit: int) -> int:
     for gen in gens:
         shift = gen
         while shift < limit:
-            sieve |= (sieve << shift) & mask
+            sieve |= sieve << shift
             shift <<= 1
+        # a bit at or above limit only shifts to bits above it, so one mask per generator will do
+        sieve &= mask
     return sieve
 
 
@@ -272,7 +275,7 @@ def _conductor_formula(s: SemigroupGenerators) -> int:
     Each term and partial sum is refused as it leaves 64 bits: terms are
     positive (n_i >= 2, v_i >= 1), so only the upper edge is tested inline.
     """
-    c = 1 - s.n
+    c = 1 - s.gens[0]
     for n_i, v in zip(s.multipliers, s.gens[1:]):
         term = (n_i - 1) * v
         c += term
@@ -283,7 +286,7 @@ def _conductor_formula(s: SemigroupGenerators) -> int:
 
 def _read_sieve(v: SimpleNamespace) -> SimpleNamespace:
     """v with the sieve of length c + v_0 for v.s, v.conductor and the gaps below c."""
-    v.sieve = _membership_sieve(v.s.gens, v.conductor + v.s.n)
+    v.sieve = _membership_sieve(v.s.gens, v.conductor + v.s.gens[0])
     # max(c, 0): a broken conductor formula must reach its row, not a negative shift
     v.gaps = v.conductor - (v.sieve & ((1 << max(v.conductor, 0)) - 1)).bit_count()
     return v
@@ -294,7 +297,7 @@ def _conductor_sieve_agreement(v: SimpleNamespace) -> str | None:
     s, c = v.s, v.conductor
     if c < 1 or (v.sieve >> (c - 1)) & 1:
         return f"conductor formula gave {c} for {s} but {c - 1} is not a gap"
-    window = (1 << s.n) - 1
+    window = (1 << s.gens[0]) - 1
     if (v.sieve >> c) & window != window:
         return f"conductor formula gave {c} for {s} but a larger gap exists"
     return None

@@ -33,7 +33,7 @@ from contextlib import closing
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import chain
+from itertools import chain, starmap
 from typing import Any, Callable, Iterable, Iterator
 
 from .combinatorics import CharacteristicExponents, SemigroupGenerators
@@ -100,18 +100,29 @@ def _prefixes(bounds: EnumerationBounds) -> Iterator[tuple[int, int]]:
 def _extend(
     bounds: EnumerationBounds, n: int, beta: tuple[int, ...], e: int
 ) -> Iterator[CharacteristicExponents]:
-    """The classes of multiplicity n whose exponents begin with beta (gcd chain at e)."""
-    if e == 1:
-        yield CharacteristicExponents(n, beta)
-    elif bounds.max_pairs is None or len(beta) < bounds.max_pairs:
+    """The classes of multiplicity n whose exponents begin with beta (gcd chain at e > 1).
+
+    A class is yielded from its parent's loop, so a leaf opens no generator.
+    """
+    if bounds.max_pairs is None or len(beta) < bounds.max_pairs:
         for b in range(beta[-1] + 1, bounds.max_beta + 1):
             if b % e:
-                yield from _extend(bounds, n, beta + (b,), math.gcd(e, b))
+                e_next = math.gcd(e, b)
+                if e_next == 1:
+                    yield CharacteristicExponents(n, beta + (b,))
+                else:
+                    yield from _extend(bounds, n, beta + (b,), e_next)
+
+
+def _subtree(bounds: EnumerationBounds, n: int, b: int) -> Iterable[CharacteristicExponents]:
+    """The classes under the prefix (n, b): the class (n; b) itself when gcd(n, b) = 1."""
+    e = math.gcd(n, b)
+    return (CharacteristicExponents(n, (b,)),) if e == 1 else _extend(bounds, n, (b,), e)
 
 
 def _subtrees(bounds: EnumerationBounds, prefixes: Iterable) -> Iterator:
     """The classes under each (n, beta_1) of prefixes, prefix by prefix."""
-    return chain.from_iterable(_extend(bounds, n, (b,), math.gcd(n, b)) for n, b in prefixes)
+    return chain.from_iterable(starmap(partial(_subtree, bounds), prefixes))
 
 
 def enumerate_classes(bounds: EnumerationBounds) -> Iterator[CharacteristicExponents]:
@@ -236,7 +247,7 @@ def _sweep_run(classes, table: dict, render) -> tuple:
     rows, failed, num, den = [], 0, 0, 1
     for c in classes:
         rec = _evaluate_record(c, table)
-        if not rec.passed:
+        if rec.error is not None:  # not rec.passed, without the property's call
             failed += 1
         r = rec.report
         if r is not None and r.quotient_num * den > num * r.quotient_den:

@@ -111,8 +111,9 @@ def failing_rows(rows: Iterable[tuple[str, Callable]], v: Any, names=None) -> li
     holds and a one-line detail otherwise; names, if given, picks the rows
     to run.
     """
-    return [(name, detail) for name, check in rows
-            if (names is None or name in names) and (detail := check(v)) is not None]
+    if names is not None:
+        rows = [row for row in rows if row[0] in names]
+    return [(name, detail) for name, check in rows if (detail := check(v)) is not None]
 
 
 def check_rows(rows, v: Any, names=None, subject=None) -> None:

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import add
+from operator import add, itemgetter, mul
 from types import SimpleNamespace
 from typing import Callable
 
@@ -100,13 +100,21 @@ def moduli_dim_term(k: int) -> int:
 
 
 def adjusted_multiplicity(p: Run) -> int:
-    """e_p at the origin, e_p + 1 at free points, e_p + 2 at satellites."""
-    if p.kind is _ORIGIN:
-        return p.multiplicity
-    k = p.multiplicity + 1 if p.kind is _FREE else p.multiplicity + 2
-    if k > INT64_MAX:  # the one edge an in-range multiplicity can pass
+    """e_p at the origin, e_p + 1 at free points, e_p + 2 at satellites.
+
+    The multiplicity must be exactly an int, tested inline: this runs on
+    every run of every sum, and the check_int64 call only on a refusal.
+    """
+    m = p.multiplicity
+    if type(m) is not int:
+        check_int64(m)
+    k = m if p.kind is _ORIGIN else m + 1 if p.kind is _FREE else m + 2
+    if k > INT64_MAX:  # an origin past 64 bits, or the + 1 or + 2 past the edge
         check_int64(k)
     return k
+
+
+_COUNT = itemgetter(1)  # a run's count, read without a Python frame per run
 
 
 def _run_sum(m: MultiplicitySequence, term: Callable[[Run], int]) -> int:
@@ -115,7 +123,7 @@ def _run_sum(m: MultiplicitySequence, term: Callable[[Run], int]) -> int:
     The sum is exact and only its total is checked to stay in 64 bits:
     no term is negative, so no product or partial sum exceeds the total.
     """
-    total = sum(run.count * term(run) for run in m.runs)
+    total = sum(map(mul, map(_COUNT, m.runs), map(term, m.runs)))
     check_int64(total)
     return total
 
@@ -196,6 +204,8 @@ def _stage_sums(v: SimpleNamespace, table: dict) -> None:
 
     Values are kept once complete, and a single stage's are copied; a
     total out of 64 bits raises the error that the sum over v.seq raises.
+    Each stage value is a checked sum of non-negative terms, so only the
+    totals' upper edge is tested inline.
     """
     try:
         totals = None
@@ -204,7 +214,7 @@ def _stage_sums(v: SimpleNamespace, table: dict) -> None:
             if stage.values is None:
                 stage.values = _run_sums(stage)  # each checked to 64 bits
             totals = stage.values if totals is None else tuple(map(add, totals, stage.values))
-        if v.c.g > 1:
+        if max(totals) > INT64_MAX:
             check_int64(*totals)
     except OverflowLimitError:
         _run_sums(v.seq)
@@ -331,7 +341,11 @@ def _evaluate(c: CharacteristicExponents, table: dict) -> SimpleNamespace:
         _read_sieve(v)
         step = "tau_min_double_computation"
         _stage_sums(v, table)
-        v.tau_lower_bound = tjurina_lower_bound(c.n)
+        # once per multiplicity per table, under the int key n beside the stage keys
+        bound = table.get(c.n)
+        if bound is None:
+            bound = table[c.n] = tjurina_lower_bound(c.n)
+        v.tau_lower_bound = bound
     except InternalInvariantViolation as exc:
         exc.identity = step
         raise
@@ -347,7 +361,13 @@ def _lower_bound(v: SimpleNamespace) -> str | None:
 
 
 def _dimca_greuel(v: SimpleNamespace) -> str | None:
-    margin = dimca_greuel_margin(v)
+    """The margin of dimca_greuel_margin, unchecked: in the pass mu and tau_min are checked totals.
+
+    Under the sieve gate mu = c < 2**22 and tau_min < mu, so neither
+    product can leave 64 bits; the public function keeps its checks for
+    any other record.
+    """
+    margin = 4 * v.tau_min - 3 * v.mu
     if margin <= 0 or margin < 2 * v.c.n - 3 + v.free_slack:
         return f"margin {margin}"
     return None
@@ -355,7 +375,7 @@ def _dimca_greuel(v: SimpleNamespace) -> str | None:
 
 def _zariski_one_pair(v: SimpleNamespace) -> str | None:
     """Zariski's stratum dimension (n-3)(m-3)/2 + [m/n] - 1 of (n; m)."""
-    if v.c.g != 1:
+    if len(v.c.beta) != 1:
         return None
     n, m = v.c.n, v.c.beta[0]
     zariski = (n - 3) * (m - 3) // 2 + m // n - 1

@@ -42,9 +42,10 @@ as a MultiplicitySequence's are (an origin only as the first run of
 stage 1), their three sums, and the per-point sums of invariants once
 asked for.  _build_sequence joins a class's records by concatenating
 runs and adding sums, with no second canonical pass: runs of two stages
-differ in stage, so none merge.  The table lives for one call of its
-maker: multiplicity_sequence, full_report, a sweep or worker shard, or
-an identity suite.
+differ in stage, so none merge.  The evaluation pass also keeps there the
+lower bound of each multiplicity n, under the int key n.  The table
+lives for one call of its maker: multiplicity_sequence, full_report, a
+sweep or worker shard, or an identity suite.
 """
 
 from __future__ import annotations
@@ -57,7 +58,14 @@ from types import SimpleNamespace
 from typing import NamedTuple
 
 from .combinatorics import SIEVE_LIMIT, CharacteristicExponents
-from .errors import DomainError, InternalInvariantViolation, check_int64, check_rows
+from .errors import (
+    INT64_MAX,
+    DomainError,
+    InternalInvariantViolation,
+    check_int64,
+    check_rows,
+    echo_plain,
+)
 
 
 class PointKind(enum.Enum):
@@ -69,11 +77,6 @@ class PointKind(enum.Enum):
 # the kinds under plain names: on CPython 3.11 looking a member up on the
 # enum class costs ten times as much, and the sums test the kind of every run
 _ORIGIN, _FREE, _SATELLITE = PointKind.ORIGIN, PointKind.FREE, PointKind.SATELLITE
-
-
-def _checked(total: int) -> int:
-    check_int64(total)
-    return total
 
 
 class Run(NamedTuple):
@@ -88,14 +91,22 @@ class Run(NamedTuple):
 def _canonical(runs, origin: bool) -> tuple[tuple[Run, ...], tuple[int, int, int]]:
     """runs checked and merged, and their sums over all, free and satellite points.
 
-    A run needs multiplicity >= 1 and count >= 0; empty runs are dropped
-    and neighbours of equal multiplicity, kind and stage merged.  With
-    origin the first run is the origin, a run of one point; no other is.
+    A run's multiplicity, count and stage are held to the integer rule
+    (check_int64) and its kind must be a PointKind, so every sum is one of
+    non-negative ints.  A run needs multiplicity >= 1 and count >= 0;
+    empty runs are dropped and neighbours of equal multiplicity, kind and
+    stage merged.  With origin the first run is the origin, a run of one
+    point; no other is.
     """
     out: list[Run] = []
     total = free = satellite = 0
     for run in runs:
         m, count, kind, stage = run
+        check_int64(m, count, stage)
+        if type(kind) is not PointKind:
+            raise DomainError(
+                f"expected a PointKind, got {type(kind).__name__} {echo_plain(repr(kind))}"
+            )
         if m < 1 or count < 0:
             raise InternalInvariantViolation(f"invalid run {tuple(run)}")
         if not count:
@@ -155,14 +166,20 @@ class MultiplicitySequence:
     def origin_multiplicity(self) -> int:
         return self.runs[0].multiplicity
 
+    # each sum is of non-negative ints (see _canonical), so only its upper edge
+    # is tested inline, and check_int64 runs only to raise
+
     def sum_total(self) -> int:
-        return _checked(self._sums[0])
+        total = self._sums[0]
+        return total if total <= INT64_MAX else check_int64(total)
 
     def sum_free(self) -> int:
-        return _checked(self._sums[1])
+        total = self._sums[1]
+        return total if total <= INT64_MAX else check_int64(total)
 
     def sum_satellite(self) -> int:
-        return _checked(self._sums[2])
+        total = self._sums[2]
+        return total if total <= INT64_MAX else check_int64(total)
 
 
 def _euclid_runs(a: int, b: int) -> list[tuple[int, int]]:

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from branch_invariants.cli import build_parser
 from branch_invariants.enumeration import THREADS_ENV_VAR
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -79,11 +80,24 @@ def test_a_command_that_writes_no_stderr_line_needs_no_stderr(redirect):
     ["invariants", "--pair", "5,7"],
     SWEEP,
     ["check", "--max-mult", "4", "--max-beta", "10"],
-], ids=["invariants", "sweep", "check"])
+    # help is output too: argparse's own would fall back to stderr, or drop it, and exit 0
+    ["-h"],
+    ["invariants", "-h"],
+    ["sweep", "--help"],
+    ["check", "-h"],
+], ids=["invariants", "sweep", "check", "help", "invariants-help", "sweep-help", "check-help"])
 def test_a_command_without_a_stdout_exits_2_with_one_line(redirect, argv):
     code, out, err = outcome(run(argv, redirect))
     assert (code, out) == (2, b"")
     assert err.startswith(b"error: [Errno 9] Bad file descriptor") and err.count(b"\n") == 1
+
+
+@pytest.mark.parametrize("argv", [[], ["invariants"], ["sweep"], ["check"]])
+def test_help_to_a_writable_stdout_is_argparses_own(argv):
+    parser = build_parser()
+    if argv:  # the command word's own parser, as the subparsers action holds it
+        parser = next(a.choices for a in parser._actions if a.dest == "command")[argv[0]]
+    assert outcome(run([*argv, "-h"])) == (0, parser.format_help().encode(), b"")
 
 
 @pytest.mark.parametrize("redirect", NO_STDOUT)

@@ -16,9 +16,16 @@ from branch_invariants import (
     CharacteristicExponents,
     DomainError,
     EnumerationBounds,
+    MultiplicitySequence,
+    OverflowLimitError,
+    PointKind,
+    Run,
     SemigroupGenerators,
+    adjusted_multiplicity,
     append_smooth_points,
+    differential_gap_count,
     dimca_greuel_margin,
+    milnor_number,
     moduli_dim_term,
     multiplicity_sequence,
     sweep,
@@ -26,6 +33,7 @@ from branch_invariants import (
     validate_char_exponents,
     validate_semigroup,
 )
+from branch_invariants.errors import INT64_MAX
 
 SEQ = multiplicity_sequence(CharacteristicExponents(4, (6, 7)))
 
@@ -63,3 +71,32 @@ def test_a_long_value_is_quoted_in_one_short_line():
         CharacteristicExponents("\n" * 5000, (7,))
     message = str(info.value)
     assert "\n" not in message and "(10002 characters)" in message and len(message) < 120
+
+
+# run records a caller builds are held to the same rule, each field once per run
+ORIGIN_4 = Run(4, 1, PointKind.ORIGIN, 1)
+
+
+def test_a_bool_multiplicity_in_a_run_is_refused():
+    with pytest.raises(DomainError, match="^expected an int, got bool True$"):
+        milnor_number(MultiplicitySequence((Run(True, 1, PointKind.ORIGIN, 1),)))
+
+
+def test_a_run_kind_that_is_not_a_point_kind_is_refused():
+    with pytest.raises(DomainError, match="^expected a PointKind, got str 'free'$"):
+        differential_gap_count(MultiplicitySequence((ORIGIN_4, Run(2, 1, "free", 1))))
+
+
+def test_a_run_stage_that_is_not_an_int_is_refused():
+    with pytest.raises(DomainError, match="^expected an int, got str 'x'$"):
+        milnor_number(MultiplicitySequence((ORIGIN_4, Run(2, 2, PointKind.FREE, "x"))))
+
+
+def test_adjusted_multiplicity_refuses_a_float_multiplicity():
+    with pytest.raises(DomainError, match="^expected an int, got float 2.5$"):
+        adjusted_multiplicity(Run(2.5, 1, PointKind.FREE, 1))
+
+
+def test_adjusted_multiplicity_refuses_an_origin_beyond_64_bits():
+    with pytest.raises(OverflowLimitError, match="^value 9223372036854775808 exceeds"):
+        adjusted_multiplicity(Run(INT64_MAX + 1, 1, PointKind.ORIGIN, 1))

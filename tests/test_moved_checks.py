@@ -5,31 +5,43 @@ the inequality it tests fails, the conductor formula tests only the
 upper edge of its positive terms and partial sums, and moduli_dim_term
 and tjurina_lower_bound check a square only above isqrt(INT64_MAX).
 Each must give the value, or the error type and message, of the
-reference in tests/oracles.py that checked every such value.
+reference in tests/oracles.py that checked every such value.  The
+dimca_greuel_margin row computes its margin unchecked from the pass's
+checked mu and tau_min, and must read the margin of the public
+dimca_greuel_margin, which keeps its checks.
 """
 
 from __future__ import annotations
 
 import math
 from functools import partial
+from types import SimpleNamespace
 
-from hypothesis import example, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from branch_invariants import CharacteristicExponents, moduli_dim_term, tjurina_lower_bound
+from branch_invariants import (
+    CharacteristicExponents,
+    dimca_greuel_margin,
+    full_report,
+    moduli_dim_term,
+    tjurina_lower_bound,
+)
 from branch_invariants.combinatorics import (
     _conductor_formula,
     _validate_generators,
     semigroup_from_char_exponents,
 )
 from branch_invariants.errors import INT64_MAX, INT64_MIN
+from branch_invariants.invariants import IDENTITIES, _evaluate
 from oracles import (
     conductor_formula_reference,
     moduli_dim_term_reference,
     tjurina_lower_bound_reference,
     validate_generators_reference,
 )
-from test_differential import huge_classes, outcome
+from test_differential import classes, huge_classes, outcome
 
 ROOT = math.isqrt(INT64_MAX)  # 3037000499, the largest k with k * k in 64 bits
 
@@ -93,3 +105,30 @@ def test_conductor_formula_refuses_as_before(c):
 def test_squares_are_refused_as_before(k):
     assert outcome(moduli_dim_term, k) == outcome(moduli_dim_term_reference, k)
     assert outcome(tjurina_lower_bound, k) == outcome(tjurina_lower_bound_reference, k)
+
+
+MARGIN_ROW = dict(IDENTITIES)["dimca_greuel_margin"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(classes(max_beta=150))
+@example(CharacteristicExponents(2, (3,)))
+@example(CharacteristicExponents(2, (2001,)))  # conductor 2000
+@example(CharacteristicExponents(16, (24, 28, 30, 31)))
+def test_the_margin_row_reads_the_public_margin(c):
+    v = _evaluate(c, {})
+    assume(v.conductor <= 2000)
+    assert MARGIN_ROW(v) is None
+    v.free_slack = INT64_MAX  # no margin is that large, so the row names the one it computed
+    assert MARGIN_ROW(v) == f"margin {dimca_greuel_margin(full_report(c))}"
+
+
+# the hand-made records of test_identities.test_dimca_greuel_rule_counts_free_slack
+@pytest.mark.parametrize("mu, tau_min, free_slack, detail", [
+    (24, 20, 2, "margin 8"),
+    (24, 18, -100, "margin 0"),
+])
+def test_the_margin_row_names_the_margin_of_a_hand_made_record(mu, tau_min, free_slack, detail):
+    v = SimpleNamespace(c=CharacteristicExponents(5, (7,)), mu=mu, tau_min=tau_min,
+                        free_slack=free_slack)
+    assert MARGIN_ROW(v) == detail == f"margin {dimca_greuel_margin(v)}"
