@@ -7,8 +7,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 a check or identity failed, 2 invalid input
 (including a class whose membership sieve would exceed SIEVE_LIMIT),
-output that cannot be written, or a pool worker that died, 3 internal
-invariant violation (a bug, not bad input), 130 interrupted by Ctrl-C.
+output that cannot be written, memory that ran out, or a pool worker
+that died, 3 internal invariant violation (a bug, not bad input), 130
+interrupted by Ctrl-C.
 Each error is one stderr line.
 
 Formats: table (human), json (stable keys, exact integers, quotient as
@@ -571,6 +572,8 @@ def main(argv: list[str] | None = None) -> int:
         return code
     except (ValidationError, OverflowLimitError, OSError) as exc:  # OSError: on output
         return _fail(2, f"error: {exc}")
+    except MemoryError:  # a pool worker out of memory is the ChildProcessError above
+        return _fail(2, "error: out of memory")
     except InternalInvariantViolation as exc:
         return _fail(3, f"internal invariant violation: {exc}")
     except KeyboardInterrupt:

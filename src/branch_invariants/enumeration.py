@@ -18,10 +18,13 @@ order: serially on one table, or with workers that walk their runs
 themselves and send back only rows and counts, or first failures.  So
 output is byte-identical with and without workers, and a caller that
 writes each run as it arrives holds one run's rows at a time, with at
-most two runs per worker submitted ahead of it.  A box of
-one task runs serially whatever the worker count, at most one worker
-starts per task, and the pool's modules load on the first parallel walk,
-not on import.
+most two runs per worker submitted ahead of it.  Tasks are cut from the
+prefixes as the walk reaches them, so no box is listed up front: the
+walk reads at most one task per worker ahead to choose serial or pool
+and the pool's size, and that worker count alone bounds how far it reads
+ahead.  A box of one task runs serially whatever the worker count, at
+most one worker starts per task, and the pool's modules load on the
+first parallel walk, not on import.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from contextlib import closing
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import chain, starmap
+from itertools import chain, islice, starmap
 from typing import Any, Callable, Iterable, Iterator
 
 from .combinatorics import CharacteristicExponents, SemigroupGenerators
@@ -206,27 +209,30 @@ def _run_prefixes(run, bounds, prefixes, table: dict = _worker_table):
 def _walk(bounds: EnumerationBounds, run: Callable, workers: int | None) -> Iterator:
     """run(classes, table) on each run of TASK_PREFIXES prefixes of bounds, yielded in prefix order.
 
-    Serially: the runs in turn, on one new table.  A pool of at most one
-    worker per task, for two tasks or more: each run a task, on its
-    worker's table, with at most two tasks per worker submitted ahead of
-    the run the caller holds, so a slow caller does not pile up finished
-    runs.  Callers close the generator when they stop early: an error or
-    Ctrl-C cancels the tasks not started.  A worker that dies raises
+    Runs are cut from the prefixes as the walk reaches them.  The first
+    worker-count runs alone decide: one run goes serially, two or more
+    start a pool of one worker per run read.  Serially: the runs in turn,
+    on one new table.  In the pool: each run a task, on its worker's
+    table, with at most two tasks per worker submitted ahead of the run
+    the caller holds, so a slow caller does not pile up finished runs.
+    Callers close the generator when they stop early: an error or Ctrl-C
+    cancels the tasks not started.  A worker that dies raises
     ChildProcessError, an OSError, so the command line exits 2.
     """
     count = _worker_count(workers)
-    prefixes = list(_prefixes(bounds))
-    tasks = [prefixes[i:i + TASK_PREFIXES] for i in range(0, len(prefixes), TASK_PREFIXES)]
-    if count > 1 and len(tasks) > 1:
+    prefixes = _prefixes(bounds)
+    tasks = iter(lambda: list(islice(prefixes, TASK_PREFIXES)), [])
+    first = list(islice(tasks, count))  # all the walk reads ahead to choose
+    if len(first) > 1:
         import signal  # the pool's modules load here: a serial command imports none
         from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-        size = min(count, len(tasks))
+        size = len(first)
         # Ctrl-C is the parent's to handle
         pool = ProcessPoolExecutor(size, initializer=signal.signal,
                                    initargs=(signal.SIGINT, signal.SIG_IGN))
         try:
             ahead: deque = deque()  # one map per task: each holds its one result
-            for task in tasks:
+            for task in chain(first, tasks):
                 ahead.append(pool.map(_run_prefixes, (run,), (bounds,), (task,)))
                 if len(ahead) > 2 * size:
                     yield from ahead.popleft()
@@ -237,9 +243,7 @@ def _walk(bounds: EnumerationBounds, run: Callable, workers: int | None) -> Iter
         finally:
             pool.shutdown(cancel_futures=True)
     else:
-        table: dict = {}
-        for task in tasks:
-            yield _run_prefixes(run, bounds, task, table)
+        yield from map(partial(_run_prefixes, run, bounds, table={}), chain(first, tasks))
 
 
 def _sweep_run(classes, table: dict, render) -> tuple:

@@ -68,7 +68,9 @@ from .resolution import (
     Run,
     _build_sequence,
     _FREE,
+    _kind_error,
     _ORIGIN,
+    _SATELLITE,
 )
 
 
@@ -102,13 +104,16 @@ def moduli_dim_term(k: int) -> int:
 def adjusted_multiplicity(p: Run) -> int:
     """e_p at the origin, e_p + 1 at free points, e_p + 2 at satellites.
 
-    The multiplicity must be exactly an int, tested inline: this runs on
-    every run of every sum, and the check_int64 call only on a refusal.
+    The multiplicity must be exactly an int and the kind a PointKind, both
+    tested inline: this runs on every run of every sum, and the checks'
+    calls only on a refusal.
     """
-    m = p.multiplicity
+    m, kind = p.multiplicity, p.kind
     if type(m) is not int:
         check_int64(m)
-    k = m if p.kind is _ORIGIN else m + 1 if p.kind is _FREE else m + 2
+    k = m if kind is _ORIGIN else m + 1 if kind is _FREE else m + 2 if kind is _SATELLITE else None
+    if k is None:
+        raise _kind_error(kind)
     if k > INT64_MAX:  # an origin past 64 bits, or the + 1 or + 2 past the edge
         check_int64(k)
     return k
@@ -159,12 +164,20 @@ def milnor_number(m: MultiplicitySequence) -> int:
     return mu
 
 
+def _stratum_term(p: Run) -> int:
+    """(e' - 2)(e' - 3)/2, defined for e' >= 2 as moduli_dim_term is."""
+    k = adjusted_multiplicity(p)
+    if k < 2:
+        raise DomainError(f"stratum term needs k >= 2, got {k}")
+    return math.comb(k - 2, 2)
+
+
 def mu_constant_stratum_dim(m: MultiplicitySequence) -> int:
     """Dimension of the stratum of constant Milnor number.
 
     Sum of (e' - 2)(e' - 3)/2 over points, e' the adjusted multiplicity.
     """
-    return _run_sum(m, lambda p: math.comb(adjusted_multiplicity(p) - 2, 2))
+    return _run_sum(m, _stratum_term)
 
 
 def generic_component_dim(m: MultiplicitySequence) -> int:

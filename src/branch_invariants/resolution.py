@@ -79,6 +79,11 @@ class PointKind(enum.Enum):
 _ORIGIN, _FREE, _SATELLITE = PointKind.ORIGIN, PointKind.FREE, PointKind.SATELLITE
 
 
+def _kind_error(kind) -> DomainError:
+    """The refusal of a run kind that is not a PointKind; callers test the type inline."""
+    return DomainError(f"expected a PointKind, got {type(kind).__name__} {echo_plain(repr(kind))}")
+
+
 class Run(NamedTuple):
     """count consecutive points of one multiplicity, kind and stage; a point is a run of one."""
 
@@ -104,9 +109,7 @@ def _canonical(runs, origin: bool) -> tuple[tuple[Run, ...], tuple[int, int, int
         m, count, kind, stage = run
         check_int64(m, count, stage)
         if type(kind) is not PointKind:
-            raise DomainError(
-                f"expected a PointKind, got {type(kind).__name__} {echo_plain(repr(kind))}"
-            )
+            raise _kind_error(kind)
         if m < 1 or count < 0:
             raise InternalInvariantViolation(f"invalid run {tuple(run)}")
         if not count:

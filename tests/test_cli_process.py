@@ -4,14 +4,22 @@ main reuses one argument parser for the life of the process, so a call
 must behave as if the parser were new.  A failed sweep leaves --out as
 it was.  Error messages quote a bounded prefix of a long input.  A JSON
 point comes from a template that must equal json.dumps byte for byte.
-A fresh process loads the pool's modules only for a parallel walk.
+A fresh process loads the pool's modules only for a parallel walk.  A
+sweep that runs out of memory exits 2 with whole rows written, and a huge
+in-range box is walked without being listed, its rows streamed, until
+stopped.
 """
 
 from __future__ import annotations
 
 import os
+import resource
+import signal
 import subprocess
 import sys
+import tempfile
+import time
+from itertools import count
 from pathlib import Path
 
 import pytest
@@ -220,3 +228,86 @@ class TestPoolLoadsOnlyWhereItRuns:
         parallel, loaded = fresh_process(sweep_argv(8, 40), "2")
         assert loaded == list(POOL_MODULES)
         assert parallel == serial
+
+
+class TestOutOfMemory:
+    def test_a_serial_sweep_out_of_memory_exits_2_with_whole_rows(self, capsys, monkeypatch):
+        argv = sweep_argv(8, 40)
+        assert main(argv) == 0
+        whole = capsys.readouterr().out
+        real, calls = en._evaluate, count()
+
+        def exhaust(c, table):  # the 101st class, in the seventh run of (8, 40)
+            if next(calls) == 100:
+                raise MemoryError
+            return real(c, table)
+
+        monkeypatch.setattr(en, "_evaluate", exhaust)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: out of memory\n"
+        # the header and the rows of the runs before it, each whole
+        assert captured.out.count("\n") > 1 and whole.startswith(captured.out)
+
+
+# a huge in-range box runs under this address-space cap; a box listed
+# before its walk fills it within seconds, and an eighth of it within one
+HUGE_BOX_MEMORY = 1 << 30
+# main(argv) in a fresh interpreter, then its peak RSS in KiB on stderr's last line
+PEAK_CHILD = """
+import resource, sys
+from branch_invariants.cli import main
+code = main({argv!r})
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def _cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (HUGE_BOX_MEMORY, HUGE_BOX_MEMORY))
+
+
+def interrupted_run(argv, wait_for_output: bool) -> tuple[int, str, list[str]]:
+    """Exit code, stdout and stderr lines of PEAK_CHILD on argv, sent SIGINT once running.
+
+    Running means a second in, and with wait_for_output also past its
+    first bytes in stdout, a file: rows that reach it before the signal
+    streamed.
+    """
+    env = {k: v for k, v in os.environ.items() if k != THREADS_ENV_VAR}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    with tempfile.TemporaryFile() as out:
+        child = subprocess.Popen([sys.executable, "-c", PEAK_CHILD.format(argv=argv)],
+                                 stdout=out, stderr=subprocess.PIPE, env=env,
+                                 preexec_fn=_cap_memory)
+        try:
+            time.sleep(1)
+            deadline = time.monotonic() + 30
+            while (wait_for_output and child.poll() is None and not os.fstat(out.fileno()).st_size
+                   and time.monotonic() < deadline):
+                time.sleep(0.05)
+            child.send_signal(signal.SIGINT)
+            _, err = child.communicate(timeout=30)
+        finally:
+            child.kill()
+            child.wait()
+        out.seek(0)
+        return child.returncode, out.read().decode(), err.decode().splitlines()
+
+
+class TestHugeBoxes:
+    """A box inside 64 bits is walked as it is cut, not listed: it streams until stopped."""
+
+    def test_a_huge_sweep_streams_rows_until_interrupted(self):
+        code, out, (*err, peak) = interrupted_run(sweep_argv(2, 10**18), True)
+        assert (code, err) == (130, ["interrupted"])
+        header, *rows = out.splitlines()
+        assert header.startswith("n,char_exponents,") and rows and out.endswith("\n")
+        assert rows[0].startswith("2,2;3,")
+        assert int(peak) * 1024 < HUGE_BOX_MEMORY // 8
+
+    def test_a_huge_check_runs_until_interrupted(self):
+        argv = ["check", "--max-mult", "3", "--max-beta", str(errors.INT64_MAX)]
+        code, out, (*err, peak) = interrupted_run(argv, False)
+        assert (code, out, err) == (130, "", ["interrupted"])
+        assert int(peak) * 1024 < HUGE_BOX_MEMORY // 8

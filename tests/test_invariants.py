@@ -13,6 +13,7 @@ from branch_invariants import (
     DomainError,
     EnumerationBounds,
     InvariantReport,
+    MultiplicitySequence,
     NegativeGapCountError,
     OverflowLimitError,
     PointKind,
@@ -280,3 +281,24 @@ class TestDecimalRendering:
 @given(st.integers(0, INT64_MAX), st.integers(1, INT64_MAX))
 def test_decimal_ratio_matches_the_decimal_reference(num, den):
     assert decimal_ratio(num, den) == decimal_ratio_reference(num, den)
+
+
+class TestRefusedRuns:
+    """A run no term is defined on raises DomainError, never Python's own error."""
+
+    # an origin of multiplicity 1: adjusted multiplicity 1, below every term's domain
+    SMOOTH_ORIGIN = MultiplicitySequence((Run(1, 1, PointKind.ORIGIN, 1),))
+
+    @pytest.mark.parametrize(
+        "fn", [mu_constant_stratum_dim, minimal_tjurina, differential_gap_count]
+    )
+    def test_an_adjusted_multiplicity_below_2_is_refused(self, fn):
+        with pytest.raises(DomainError, match="needs k >= 2, got 1"):
+            fn(self.SMOOTH_ORIGIN)
+
+    @pytest.mark.parametrize("kind, shown", [
+        ("free", "str 'free'"), (None, "NoneType None"), (3, "int 3"),
+    ])
+    def test_a_kind_that_is_not_a_point_kind_is_refused(self, kind, shown):
+        with pytest.raises(DomainError, match=f"^expected a PointKind, got {shown}$"):
+            adjusted_multiplicity(Run(2, 1, kind, 1))
