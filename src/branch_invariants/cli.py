@@ -239,25 +239,29 @@ def _compact_point(run: Run) -> str:
     return f"{run.multiplicity}{run.kind.value[0]}"
 
 
-def _record_row(rec: SweepRecord) -> list[str]:
-    """The fields of rec, in CSV_COLUMNS order."""
-    c, r = rec.char_exponents, rec.report
-    values = [""] * 7 if r is None else [
-        str(r.mu), str(r.tau_minus), str(r.q_min), str(r.tau_min),
-        f"{r.quotient_num}/{r.quotient_den}", str(r.tau_lower_bound), str(r.delta_gen_gaps),
-    ]
-    return [
-        str(c.n),
-        ";".join(map(str, (c.n, *c.beta))),
-        ";".join(map(str, rec.semigroup.gens)) if rec.semigroup else "",
-        *values,
-        "1" if rec.error is None else "0",  # rec.passed, without the property's call
-    ]
+def _csv_line(rec: SweepRecord) -> str:
+    """The line csv.writer writes for rec, in CSV_COLUMNS order: no field holds a comma or quote.
+
+    Laid out by f-strings, with no Python call: this renders every row of a CSV sweep.
+    """
+    c, s, r = rec.char_exponents, rec.semigroup, rec.report
+    gens = "" if s is None else ";".join(map(str, s.gens))
+    values = ",,,,,," if r is None else (
+        f"{r.mu},{r.tau_minus},{r.q_min},{r.tau_min},{r.quotient_num}/{r.quotient_den},"
+        f"{r.tau_lower_bound},{r.delta_gen_gaps}")
+    # the last field is rec.passed, without the property's call
+    return (f"{c.n},{';'.join(map(str, (c.n, *c.beta)))},{gens},{values},"
+            f"{'1' if rec.error is None else '0'}\n")
 
 
 def _csv_row(rec: SweepRecord) -> str:
-    """The line csv.writer writes for rec: no field holds a comma or quote."""
-    return ",".join(_record_row(rec))
+    """_csv_line(rec) without its newline."""
+    return _csv_line(rec)[:-1]
+
+
+def _record_row(rec: SweepRecord) -> list[str]:
+    """The fields of rec, in CSV_COLUMNS order."""
+    return _csv_row(rec).split(",")
 
 
 def cmd_invariants(args) -> int:
@@ -302,10 +306,6 @@ def _table_row(rec: SweepRecord) -> str:
         f"{r.tau_minus:>5} {r.q_min:>4} {r.tau_min:>7} {quotient:>10} "
         f"{r.delta_gen_gaps:>5} {'1' if rec.passed else '0'}"
     )
-
-
-def _csv_line(rec: SweepRecord) -> str:
-    return _csv_row(rec) + "\n"
 
 
 def _table_line(rec: SweepRecord) -> str:

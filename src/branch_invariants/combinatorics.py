@@ -28,6 +28,7 @@ from types import SimpleNamespace
 
 from .errors import (
     INT64_MAX,
+    INT64_MIN,
     DivisibilityViolationError,
     DomainError,
     GcdNotOneError,
@@ -66,11 +67,11 @@ class CharacteristicExponents:
     gcd_chain: tuple[int, ...] = field(init=False, repr=False, compare=False)
     stage_keys: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "beta", tuple(self.beta))
-        chain = _validate_exponents(self.n, self.beta)
-        object.__setattr__(self, "gcd_chain", chain)
-        object.__setattr__(self, "stage_keys", _stage_keys(self.beta, chain))
+    def __init__(self, n: int, beta) -> None:
+        # written out rather than generated with a __post_init__: one frame per class
+        beta = tuple(beta)
+        chain = _validate_exponents(n, beta)
+        self.__dict__.update(n=n, beta=beta, gcd_chain=chain, stage_keys=_stage_keys(beta, chain))
 
     @property
     def g(self) -> int:
@@ -82,7 +83,9 @@ class CharacteristicExponents:
 
 def _validate_exponents(n: int, beta: tuple[int, ...]) -> tuple[int, ...]:
     """The gcd chain of (n; beta), once every admissibility condition holds."""
-    check_int64(n, *beta)
+    for value in (n, *beta):  # the integer rule, inline; check_int64 only refuses
+        if type(value) is not int or not INT64_MIN <= value <= INT64_MAX:
+            check_int64(n, *beta)
     if len(beta) == 0 or n < 2:
         raise NotSingularError(
             f"(n={n}, g={len(beta)}) describes a smooth branch; need n >= 2 and g >= 1"
@@ -131,11 +134,11 @@ class SemigroupGenerators:
     gcd_chain: tuple[int, ...] = field(init=False, repr=False, compare=False)
     multipliers: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "gens", tuple(self.gens))
-        chain, mult = _validate_generators(self.gens)
-        object.__setattr__(self, "gcd_chain", chain)
-        object.__setattr__(self, "multipliers", mult)
+    def __init__(self, gens) -> None:
+        # written out rather than generated with a __post_init__: one frame per class
+        gens = tuple(gens)
+        chain, mult = _validate_generators(gens)
+        self.__dict__.update(gens=gens, gcd_chain=chain, multipliers=mult)
 
     @property
     def n(self) -> int:
@@ -151,7 +154,9 @@ class SemigroupGenerators:
 
 def _validate_generators(gens: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The gcd chain and multipliers of gens, once every plane-branch condition holds."""
-    check_int64(*gens)
+    for value in gens:  # the integer rule, inline; check_int64 only refuses
+        if type(value) is not int or not INT64_MIN <= value <= INT64_MAX:
+            check_int64(*gens)
     if len(gens) < 2 or gens[0] < 2:
         raise NotSingularError(
             f"generators {echo_plain(list(gens))} describe a smooth branch; "
@@ -184,14 +189,26 @@ def _validate_generators(gens: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[
     return tuple(chain), mult
 
 
+def _iterable(values, what: str):
+    """values, once it is iterable; anything else raises DomainError naming its type."""
+    try:
+        iter(values)
+    except TypeError:
+        raise DomainError(
+            f"{what} must be an iterable of ints, got "
+            f"{type(values).__name__} {echo_plain(repr(values))}"
+        ) from None
+    return values
+
+
 def validate_char_exponents(n: int, beta) -> CharacteristicExponents:
     """Validate (n; beta_1, ..., beta_g) and return the frozen record."""
-    return CharacteristicExponents(n, tuple(beta))
+    return CharacteristicExponents(n, _iterable(beta, "exponents"))
 
 
 def validate_semigroup(gens) -> SemigroupGenerators:
     """Validate semigroup generators and return the frozen record."""
-    return SemigroupGenerators(tuple(gens))
+    return SemigroupGenerators(_iterable(gens, "generators"))
 
 
 def semigroup_from_char_exponents(c: CharacteristicExponents) -> SemigroupGenerators:
@@ -201,6 +218,8 @@ def semigroup_from_char_exponents(c: CharacteristicExponents) -> SemigroupGenera
     differences of the gcd chain:
     v_{i+1} = sum_{j<=i} ((e_{j-1} - e_j)/e_i) beta_j + beta_{i+1}.
     The sum over j <= i is kept running: each generator adds one term.
+    The division and the 64-bit test of acc and v are written inline, and
+    call exact_div and check_int64 only to refuse.
     """
     chain, beta = c.gcd_chain, c.beta
     gens = [c.n, beta[0]]
@@ -208,8 +227,13 @@ def semigroup_from_char_exponents(c: CharacteristicExponents) -> SemigroupGenera
     for i in range(1, len(beta)):
         # e_0 = n, so the j = 1 term is (n - e_1) beta_1
         acc += (chain[i - 1] - chain[i]) * beta[i - 1]
-        v = exact_div(acc, chain[i], "generator accumulator") + beta[i]
-        check_int64(acc, v)
+        q, r = divmod(acc, chain[i])
+        if r:
+            exact_div(acc, chain[i], "generator accumulator")
+        v = q + beta[i]
+        if not (type(acc) is type(v) is int
+                and INT64_MIN <= acc <= INT64_MAX and INT64_MIN <= v <= INT64_MAX):
+            check_int64(acc, v)
         gens.append(v)
     return SemigroupGenerators(tuple(gens))
 

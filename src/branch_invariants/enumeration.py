@@ -157,11 +157,15 @@ class SweepRecord:
 
 
 def _evaluate_record(c: CharacteristicExponents, table: dict) -> SweepRecord:
+    """The record of c; a passed one is SweepRecord(c, s, report), its fields set in one update."""
     try:
         v = _evaluate(c, table)
-        return SweepRecord(c, v.s, _checked_report(v))
+        report = _checked_report(v)
     except InternalInvariantViolation as exc:
         return SweepRecord(c, None, None, f"{type(exc).__name__}: {exc}")
+    rec = object.__new__(SweepRecord)
+    rec.__dict__.update(char_exponents=c, semigroup=v.s, report=report, error=None)
+    return rec
 
 
 def evaluate_class(c: CharacteristicExponents) -> SweepRecord:

@@ -90,15 +90,19 @@ def moduli_dim_term(k: int) -> int:
     """Contribution of one resolution point to the generic moduli dimension.
 
     (k-2)(k-4)/4 for even k, (k-3)^2/4 for odd k; defined for k >= 2.
+    Its tests and divisions are inline: check_int64, the domain error and
+    exact_div run only to refuse, in that order.
     """
-    check_int64(k)
-    if k < 2:
-        raise DomainError(f"moduli term needs k >= 2, got {k}")
-    if k > _SQUARE_ROOT_MAX:
-        check_int64(k * k)
+    if type(k) is not int or not 2 <= k <= _SQUARE_ROOT_MAX:
+        check_int64(k)
+        if k < 2:
+            raise DomainError(f"moduli term needs k >= 2, got {k}")
+        check_int64(k * k)  # k is past _SQUARE_ROOT_MAX, so this raises
     if k % 2 == 0:
-        return exact_div((k - 2) * (k - 4), 4, "even moduli term")
-    return exact_div((k - 3) * (k - 3), 4, "odd moduli term")
+        t = (k - 2) * (k - 4)
+        return t // 4 if t % 4 == 0 else exact_div(t, 4, "even moduli term")
+    t = (k - 3) * (k - 3)
+    return t // 4 if t % 4 == 0 else exact_div(t, 4, "odd moduli term")
 
 
 def adjusted_multiplicity(p: Run) -> int:
@@ -127,9 +131,11 @@ def _run_sum(m: MultiplicitySequence, term: Callable[[Run], int]) -> int:
 
     The sum is exact and only its total is checked to stay in 64 bits:
     no term is negative, so no product or partial sum exceeds the total.
+    The check is inline, and check_int64 runs only to refuse.
     """
     total = sum(map(mul, map(_COUNT, m.runs), map(term, m.runs)))
-    check_int64(total)
+    if type(total) is not int or not INT64_MIN <= total <= INT64_MAX:
+        check_int64(total)
     return total
 
 
@@ -146,7 +152,8 @@ def _tjurina_term(p: Run) -> int:
         twice = (e - 1) * (e + 2)
     else:
         twice = e * (e - 1)
-    return (k - 3) * (k - 3) // 4 + exact_div(twice, 2, "tau_min term")
+    half = twice // 2 if twice % 2 == 0 else exact_div(twice, 2, "tau_min term")
+    return (k - 3) * (k - 3) // 4 + half
 
 
 def _gap_term(p: Run) -> int:
@@ -267,7 +274,8 @@ def tjurina_lower_bound(n: int) -> int:
 
 def _rearranged_gaps(v) -> int:
     """The gap count tau_min - mu/2 - n + 1 of any record with those fields."""
-    return v.tau_min - exact_div(v.mu, 2, "half Milnor") - v.n + 1
+    mu = v.mu
+    return v.tau_min - (mu // 2 if mu % 2 == 0 else exact_div(mu, 2, "half Milnor")) - v.n + 1
 
 
 def differential_gap_count(m: MultiplicitySequence) -> int:
@@ -420,13 +428,24 @@ IDENTITIES: tuple[tuple[str, Callable[[SimpleNamespace], str | None]], ...] = (
 
 
 def _checked_report(v: SimpleNamespace) -> InvariantReport:
-    """The report of v; raises naming the first identity that fails on it."""
-    check_rows(IDENTITIES, v, subject=v.c)
-    common = math.gcd(v.mu, v.tau_min)
-    return InvariantReport(
-        v.n, v.mu, v.tau_minus, v.q_min, v.tau_min, v.mu // common, v.tau_min // common,
-        v.tau_lower_bound, v.delta_gen_gaps,
+    """The report of v; raises naming the first identity that fails on it.
+
+    Every row runs on v; check_rows runs the table again only once a row
+    has failed, for the message.  The report is the one InvariantReport(...)
+    builds, its fields set in one update rather than one setattr each.
+    """
+    for _, check in IDENTITIES:
+        if check(v) is not None:
+            check_rows(IDENTITIES, v, subject=v.c)
+    mu, tau_min = v.mu, v.tau_min
+    common = math.gcd(mu, tau_min)
+    r = object.__new__(InvariantReport)
+    r.__dict__.update(
+        n=v.n, mu=mu, tau_minus=v.tau_minus, q_min=v.q_min, tau_min=tau_min,
+        quotient_num=mu // common, quotient_den=tau_min // common,
+        tau_lower_bound=v.tau_lower_bound, delta_gen_gaps=v.delta_gen_gaps,
     )
+    return r
 
 
 def full_report(c: CharacteristicExponents) -> InvariantReport:

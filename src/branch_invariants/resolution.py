@@ -60,6 +60,7 @@ from typing import NamedTuple
 from .combinatorics import SIEVE_LIMIT, CharacteristicExponents
 from .errors import (
     INT64_MAX,
+    INT64_MIN,
     DomainError,
     InternalInvariantViolation,
     check_int64,
@@ -107,7 +108,10 @@ def _canonical(runs, origin: bool) -> tuple[tuple[Run, ...], tuple[int, int, int
     total = free = satellite = 0
     for run in runs:
         m, count, kind, stage = run
-        check_int64(m, count, stage)
+        # the integer rule, inline on both edges; check_int64 only refuses
+        if not (type(m) is type(count) is type(stage) is int and INT64_MIN <= m <= INT64_MAX
+                and INT64_MIN <= count <= INT64_MAX and INT64_MIN <= stage <= INT64_MAX):
+            check_int64(m, count, stage)
         if type(kind) is not PointKind:
             raise _kind_error(kind)
         if m < 1 or count < 0:
@@ -146,14 +150,6 @@ class MultiplicitySequence:
         object.__setattr__(self, "runs", runs)
         object.__setattr__(self, "_sums", sums)
 
-    @classmethod
-    def _joined(cls, runs: tuple[Run, ...], sums: tuple[int, int, int]) -> MultiplicitySequence:
-        """The sequence of runs that are canonical already, with their sums, unchecked."""
-        m = object.__new__(cls)
-        object.__setattr__(m, "runs", runs)
-        object.__setattr__(m, "_sums", sums)
-        return m
-
     @property
     def points(self) -> tuple[Run, ...]:
         """Every point in order, as a run of one; refused above SIEVE_LIMIT points."""
@@ -170,7 +166,9 @@ class MultiplicitySequence:
         return self.runs[0].multiplicity
 
     # each sum is of non-negative ints (see _canonical), so only its upper edge
-    # is tested inline, and check_int64 runs only to raise
+    # is tested inline, and check_int64 runs only to raise; the
+    # SEQUENCE_IDENTITIES rows make the same test on _sums, and call these
+    # methods only for a row's detail or refusal
 
     def sum_total(self) -> int:
         total = self._sums[0]
@@ -217,7 +215,11 @@ def _mark_stage(a: int, b: int, stage: int) -> tuple[Run, ...]:
     runs = [(b, 1, _ORIGIN), (b, q - 1, _FREE)] if stage == 1 else [(b, q, _FREE)]
     runs += [(r, 1, _FREE), (r, q1 - 1, _SATELLITE)]
     runs += [(m, count, _SATELLITE) for m, count in rest]
-    return tuple(Run(m, count, kind, stage) for m, count, kind in runs if count)
+    out = []
+    for m, count, kind in runs:
+        if count:
+            out.append(tuple.__new__(Run, (m, count, kind, stage)))  # Run(...) without its frame
+    return tuple(out)
 
 
 def _build_sequence(c: CharacteristicExponents, table: dict) -> MultiplicitySequence:
@@ -235,19 +237,23 @@ def _build_sequence(c: CharacteristicExponents, table: dict) -> MultiplicitySequ
             stage = table[key] = SimpleNamespace(runs=stage_runs, sums=stage_sums, values=None)
         runs += stage.runs
         sums = stage.sums if sums is None else tuple(map(add, sums, stage.sums))
-    return MultiplicitySequence._joined(runs, sums)
+    m = object.__new__(MultiplicitySequence)  # canonical already: no __post_init__ pass
+    m.__dict__.update(runs=runs, _sums=sums)
+    return m
 
 
-# the rows of invariants.IDENTITIES about v.seq, the sequence of class v.c
+# the rows of invariants.IDENTITIES about v.seq, the sequence of class v.c;
+# each reads its sum from _sums, tested inline to fit in 64 bits, and calls
+# the sum_* method, which refuses a sum past them, only when the row fails
 SEQUENCE_IDENTITIES = (
     ("multiplicity_total_sum",
-     lambda v: None if v.seq.sum_total() == v.c.beta[-1] + v.c.n - 1
+     lambda v: None if (t := v.seq._sums[0]) <= INT64_MAX and t == v.c.beta[-1] + v.c.n - 1
      else f"sum {v.seq.sum_total()}"),
     ("multiplicity_free_sum",
-     lambda v: None if v.c.n + v.seq.sum_free() == v.c.beta[-1]
+     lambda v: None if (t := v.seq._sums[1]) <= INT64_MAX and v.c.n + t == v.c.beta[-1]
      else f"free sum {v.seq.sum_free()}"),
     ("multiplicity_satellite_sum",
-     lambda v: None if v.seq.sum_satellite() == v.c.n - 1
+     lambda v: None if (t := v.seq._sums[2]) <= INT64_MAX and t == v.c.n - 1
      else f"satellite sum {v.seq.sum_satellite()}"),
 )
 

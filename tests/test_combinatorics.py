@@ -10,6 +10,7 @@ from branch_invariants import (
     DomainError,
     EnumerationBounds,
     GcdNotOneError,
+    MultiplicitySequence,
     NonIncreasingError,
     NotPlaneError,
     NotSingularError,
@@ -18,6 +19,7 @@ from branch_invariants import (
     char_exponents_from_semigroup,
     conductor,
     enumerate_classes,
+    full_report,
     gap_count,
     semigroup_from_char_exponents,
     validate_char_exponents,
@@ -75,6 +77,15 @@ class TestExponentValidation:
         with pytest.raises(OverflowLimitError):
             validate_char_exponents(2**63, [2**63 + 1])
 
+    def test_int_exponents_are_refused_naming_their_type(self):
+        with pytest.raises(DomainError, match="^exponents must be an iterable of ints, got int 5$"):
+            validate_char_exponents(3, 5)
+
+    def test_no_exponents_are_refused_naming_their_type(self):
+        with pytest.raises(DomainError,
+                           match="^exponents must be an iterable of ints, got NoneType None$"):
+            validate_char_exponents(3, None)
+
 
 class TestSemigroupValidation:
     def test_accepts_plane_generators(self):
@@ -108,6 +119,15 @@ class TestSemigroupValidation:
     def test_first_generator_order(self):
         with pytest.raises(NonIncreasingError):
             validate_semigroup([4, 3, 13])
+
+    def test_an_int_is_refused_naming_its_type(self):
+        with pytest.raises(DomainError, match="^generators must be an iterable of ints, got int 5$"):
+            validate_semigroup(5)
+
+    def test_none_is_refused_naming_its_type(self):
+        with pytest.raises(DomainError,
+                           match="^generators must be an iterable of ints, got NoneType None$"):
+            validate_semigroup(None)
 
 
 class TestConversion:
@@ -189,3 +209,15 @@ class TestSieveLimit:
         s = SemigroupGenerators((2, m))
         assert conductor(s) == m - 1
         assert gap_count(s) == (m - 1) // 2
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: full_report((2, (3,))), AttributeError),
+    (lambda: conductor((2, 3)), AttributeError),
+    (lambda: semigroup_from_char_exponents((2, (3,))), AttributeError),
+    (lambda: MultiplicitySequence(None), TypeError),
+])
+def test_a_non_record_argument_is_pythons_own_error(call, error):
+    """Past the validators, a non-record raises Python's error, as README states."""
+    with pytest.raises(error):
+        call()

@@ -412,7 +412,7 @@ def test_sigint_stops_a_parallel_sweep():
     env = {**os.environ, THREADS_ENV_VAR: "2", "PYTHONPATH": path}
     proc = subprocess.Popen(
         [sys.executable, "-m", "branch_invariants.cli", "sweep", "--max-mult", "12",
-         "--max-beta", "100", "--format", "csv"],
+         "--max-beta", "180", "--format", "csv"],
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
     )
     try:
