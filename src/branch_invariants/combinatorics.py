@@ -70,8 +70,8 @@ class CharacteristicExponents:
     def __init__(self, n: int, beta) -> None:
         # written out rather than generated with a __post_init__: one frame per class
         beta = tuple(beta)
-        chain = _validate_exponents(n, beta)
-        self.__dict__.update(n=n, beta=beta, gcd_chain=chain, stage_keys=_stage_keys(beta, chain))
+        chain, keys = _validate_exponents(n, beta)
+        self.__dict__.update(n=n, beta=beta, gcd_chain=chain, stage_keys=keys)
 
     @property
     def g(self) -> int:
@@ -81,8 +81,13 @@ class CharacteristicExponents:
         return f"({self.n}; {', '.join(str(b) for b in self.beta)})"
 
 
-def _validate_exponents(n: int, beta: tuple[int, ...]) -> tuple[int, ...]:
-    """The gcd chain of (n; beta), once every admissibility condition holds."""
+def _validate_exponents(n: int, beta: tuple[int, ...]) -> tuple[tuple[int, ...], tuple]:
+    """The gcd chain and stage keys of (n; beta), once every admissibility condition holds.
+
+    The key (beta_i - beta_{i-1}, e_{i-1}, i) of stage i, with beta_0 = 0,
+    is made in the gcd-chain loop; it raises nothing, so the refusals
+    come in the same order.
+    """
     for value in (n, *beta):  # the integer rule, inline; check_int64 only refuses
         if type(value) is not int or not INT64_MIN <= value <= INT64_MAX:
             check_int64(n, *beta)
@@ -98,25 +103,17 @@ def _validate_exponents(n: int, beta: tuple[int, ...]) -> tuple[int, ...]:
                 f"beta_{i} = {b} is not greater than {prev}"
             )
         prev = b
-    chain = [n]
-    for i, b in enumerate(beta, start=1):
+    chain, keys = [n], []
+    for i, (prev, b) in enumerate(zip((0, *beta), beta), start=1):
         if b % chain[-1] == 0:
             raise DivisibilityViolationError(
                 f"beta_{i} = {b} is divisible by e_{i - 1} = {chain[-1]}"
             )
+        keys.append((b - prev, chain[-1], i))
         chain.append(math.gcd(chain[-1], b))
     if chain[-1] != 1:
         raise GcdNotOneError(f"gcd chain ends at e_g = {chain[-1]}, not 1")
-    return tuple(chain)
-
-
-def _stage_keys(beta: tuple[int, ...], chain: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
-    """The key (beta_i - beta_{i-1}, e_{i-1}, i) of each resolution stage, with beta_0 = 0."""
-    keys, prev = [], 0
-    for i, b in enumerate(beta, start=1):
-        keys.append((b - prev, chain[i - 1], i))
-        prev = b
-    return tuple(keys)
+    return tuple(chain), tuple(keys)
 
 
 @dataclass(frozen=True)

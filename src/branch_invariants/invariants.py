@@ -17,11 +17,21 @@ are stable under extending a resolution past the minimal one.  Each sum
 is _run_sum of a per-point term, the exact sum of count * term over runs
 (see resolution) checked once, at its total, to stay in 64 bits; terms
 are non-negative, so no product or partial sum exceeds the total.
-Each sum is also additive over stages: in its tau_min_double_computation
-step the evaluation pass adds up the values of the class's stage records
-(see resolution), one pass over the stage keys the class kept from
-validation, filling a record's values by the same routes over its runs
-when first asked; a class of one stage copies its record's values.
+Each sum is also additive over stages.  A stage record is a plain
+tuple (runs, sums), complete when made, the first time the evaluation
+pass meets its stage key (a, b, i) in a table: the runs of
+resolution._mark_stage(a, b, i), checked and merged by
+resolution._canonical (an origin only as the first run of stage 1), and
+their sums, the three of SEQUENCE_IDENTITIES then the _SUM_NAMES sums,
+by the same routes as over a whole sequence.  Past the semigroup, the
+conductor and the sieve, the pass walks the stage keys that the class
+kept from validation once, joining the runs (no run merges across
+stages) and adding the sums.  Only each stage's sums are checked to 64
+bits: past the sieve gate, c + n <= SIEVE_LIMIT keeps every total far
+inside them.  A table lives for one call of its maker: full_report, an
+invariants query, a sweep or worker shard, or an identity suite; the
+pass also keeps there the lower bound of each multiplicity n, under the
+int key n.
 
 IDENTITIES is the one ordered table of named per-class identities: the
 semigroup round trip, combinatorics.SEMIGROUP_IDENTITIES,
@@ -56,7 +66,6 @@ from .errors import (
     DomainError,
     InternalInvariantViolation,
     NegativeGapCountError,
-    OverflowLimitError,
     ValidationError,
     check_int64,
     check_rows,
@@ -66,9 +75,10 @@ from .resolution import (
     SEQUENCE_IDENTITIES,
     MultiplicitySequence,
     Run,
-    _build_sequence,
+    _canonical,
     _FREE,
     _kind_error,
+    _mark_stage,
     _ORIGIN,
     _SATELLITE,
 )
@@ -126,14 +136,14 @@ def adjusted_multiplicity(p: Run) -> int:
 _COUNT = itemgetter(1)  # a run's count, read without a Python frame per run
 
 
-def _run_sum(m: MultiplicitySequence, term: Callable[[Run], int]) -> int:
-    """Sum of term(p) over the points p of m, as count * term(run) per run.
+def _run_sum(runs: tuple[Run, ...], term: Callable[[Run], int]) -> int:
+    """Sum of term(p) over the points p of runs, as count * term(run) per run.
 
     The sum is exact and only its total is checked to stay in 64 bits:
     no term is negative, so no product or partial sum exceeds the total.
     The check is inline, and check_int64 runs only to refuse.
     """
-    total = sum(map(mul, map(_COUNT, m.runs), map(term, m.runs)))
+    total = sum(map(mul, map(_COUNT, runs), map(term, runs)))
     if type(total) is not int or not INT64_MIN <= total <= INT64_MAX:
         check_int64(total)
     return total
@@ -165,7 +175,7 @@ def _gap_term(p: Run) -> int:
 
 def milnor_number(m: MultiplicitySequence) -> int:
     """Milnor number as sum of e_p(e_p - 1) over the resolution points."""
-    mu = _run_sum(m, lambda p: p.multiplicity * (p.multiplicity - 1))
+    mu = _run_sum(m.runs, lambda p: p.multiplicity * (p.multiplicity - 1))
     if mu % 2 != 0:
         raise InternalInvariantViolation(f"Milnor number {mu} is odd")
     return mu
@@ -184,65 +194,40 @@ def mu_constant_stratum_dim(m: MultiplicitySequence) -> int:
 
     Sum of (e' - 2)(e' - 3)/2 over points, e' the adjusted multiplicity.
     """
-    return _run_sum(m, _stratum_term)
+    return _run_sum(m.runs, _stratum_term)
 
 
 def generic_component_dim(m: MultiplicitySequence) -> int:
     """Dimension of the moduli component of the generic curve in the class."""
-    return _run_sum(m, lambda p: moduli_dim_term(adjusted_multiplicity(p)))
+    return _run_sum(m.runs, lambda p: moduli_dim_term(adjusted_multiplicity(p)))
 
 
 def _minimal_tjurina_formula(m: MultiplicitySequence) -> int:
     """Closed form for the minimal Tjurina number in the class."""
-    return _run_sum(m, _tjurina_term)
+    return _run_sum(m.runs, _tjurina_term)
 
 
 def _differential_gap_formula(m: MultiplicitySequence) -> int:
     """Closed sum for the generic count of differential-value gaps."""
-    return _run_sum(m, _gap_term)
+    return _run_sum(m.runs, _gap_term)
 
 
 _SUM_NAMES = ("mu", "tau_minus", "q_min", "tau_min", "delta_gen_gaps", "free_slack")
 
 
-def _run_sums(m) -> tuple[int, ...]:
-    """The per-point sums IDENTITIES compares, named by _SUM_NAMES, over m.runs."""
+def _run_sums(runs: tuple[Run, ...]) -> tuple[int, ...]:
+    """The per-point sums IDENTITIES compares, named by _SUM_NAMES, over runs."""
+    m = SimpleNamespace(runs=runs)  # all that the per-sum functions read of a sequence
     return (milnor_number(m), mu_constant_stratum_dim(m), generic_component_dim(m),
             _minimal_tjurina_formula(m), _differential_gap_formula(m),
-            _run_sum(m, lambda p: p.multiplicity - 1 if p.kind is _FREE else 0))
+            _run_sum(runs, lambda p: p.multiplicity - 1 if p.kind is _FREE else 0))
 
 
 def _sequence_values(m: MultiplicitySequence, v: SimpleNamespace) -> SimpleNamespace:
     """v with every quantity of m that IDENTITIES compares, each computed once."""
     v.n = m.origin_multiplicity
-    vars(v).update(zip(_SUM_NAMES, _run_sums(m)))
+    vars(v).update(zip(_SUM_NAMES, _run_sums(m.runs)))
     return v
-
-
-def _stage_sums(v: _Pass, table: dict) -> None:
-    """Set v.n and the _SUM_NAMES of v.c as sums of its stages' values in table.
-
-    Values are kept once complete, and a single stage's are copied; a
-    total out of 64 bits raises the error that the sum over v.seq raises.
-    Each stage value is a checked sum of non-negative terms, so only the
-    totals' upper edge is tested inline.
-    """
-    try:
-        totals = None
-        for key in v.c.stage_keys:
-            stage = table[key]
-            if stage.values is None:
-                stage.values = _run_sums(stage)  # each checked to 64 bits
-            totals = stage.values if totals is None else tuple(map(add, totals, stage.values))
-        if max(totals) > INT64_MAX:
-            check_int64(*totals)
-    except OverflowLimitError:
-        _run_sums(v.seq)
-        raise
-    v.n = v.c.n
-    # the _SUM_NAMES in order, set one by one: after an update of vars(v)
-    # CPython 3.11 reads the attributes of v more slowly (see _Pass)
-    v.mu, v.tau_minus, v.q_min, v.tau_min, v.delta_gen_gaps, v.free_slack = totals
 
 
 def minimal_tjurina(m: MultiplicitySequence) -> int:
@@ -368,13 +353,28 @@ def _evaluate(c: CharacteristicExponents, table: dict) -> _Pass:
         except ValidationError as exc:  # c is valid, so its generators must be
             raise InternalInvariantViolation(f"{c}: {step} failed: {exc}") from exc
         v.back = _exponents_from_generators(v.s)
-        step = "multiplicity_total_sum"
-        v.seq = _build_sequence(c, table)  # its sum identities are table rows
         step = "conductor_sieve_agreement"
         v.conductor = _conductor_formula(v.s)
         _read_sieve(v)
+        # one walk over the stages, past the sieve gate: each stage's record
+        # is made on its key's first class (see the module docstring)
+        runs, sums = (), None
+        for key in c.stage_keys:
+            stage = table.get(key)
+            if stage is None:
+                step = "multiplicity_total_sum"
+                stage_runs, seq_sums = _canonical(_mark_stage(*key), key[2] == 1)
+                step = "tau_min_double_computation"
+                stage = table[key] = (stage_runs, seq_sums + _run_sums(stage_runs))
+            runs += stage[0]
+            sums = stage[1] if sums is None else tuple(map(add, sums, stage[1]))
         step = "tau_min_double_computation"
-        _stage_sums(v, table)
+        v.seq = seq = object.__new__(MultiplicitySequence)  # canonical already: no __post_init__
+        seq.__dict__.update(runs=runs, _sums=sums[:3])
+        v.n = c.n
+        # the _SUM_NAMES in order, set one by one: after an update of vars(v)
+        # CPython 3.11 reads the attributes of v more slowly (see _Pass)
+        v.mu, v.tau_minus, v.q_min, v.tau_min, v.delta_gen_gaps, v.free_slack = sums[3:]
         # once per multiplicity per table, under the int key n beside the stage keys
         bound = table.get(c.n)
         if bound is None:
@@ -395,7 +395,7 @@ def _lower_bound(v: SimpleNamespace) -> str | None:
 
 
 def _dimca_greuel(v: SimpleNamespace) -> str | None:
-    """The margin of dimca_greuel_margin, unchecked: in the pass mu and tau_min are checked totals.
+    """The margin of dimca_greuel_margin, unchecked: the pass sums mu and tau_min past the sieve.
 
     Under the sieve gate mu = c < 2**22 and tau_min < mu, so neither
     product can leave 64 bits; the public function keeps its checks for

@@ -21,8 +21,8 @@ three sum identities check the result:
 
 These are SEQUENCE_IDENTITIES, the sequence rows of invariants.IDENTITIES;
 multiplicity_sequence runs them before it returns a sequence.  They read
-sums taken in the pass that canonicalises the runs (added up from the
-stage records for a joined sequence), each checked to 64 bits when read.
+sums taken in the pass that canonicalises the runs, each checked to 64
+bits when read.
 
 Run-length representation.  A sequence is stored as runs
 (multiplicity, count, kind, stage) of equal consecutive points, one per
@@ -34,26 +34,20 @@ therefore costs O(g log beta_g) however many points it has; `points`
 expands the runs on demand into runs of count 1, up to the same cap as
 the membership sieve, and MultiplicitySequence(m.points) == m.
 
-Stage table.  Stage i depends only on its key (a, b, i): (beta_1, n, 1),
+Stages.  Stage i depends only on its key (a, b, i): (beta_1, n, 1),
 then (beta_i - beta_{i-1}, e_{i-1}, i), which CharacteristicExponents
-keeps from validation.  A table holds one record per key, built when the
-key is first met: the stage's runs from _mark_stage, checked and merged
-as a MultiplicitySequence's are (an origin only as the first run of
-stage 1), their three sums, and the per-point sums of invariants once
-asked for.  _build_sequence joins a class's records by concatenating
-runs and adding sums, with no second canonical pass: runs of two stages
-differ in stage, so none merge.  The evaluation pass also keeps there the
-lower bound of each multiplicity n, under the int key n.  The table
-lives for one call of its maker: multiplicity_sequence, full_report, a
-sweep or worker shard, or an identity suite.
+keeps from validation; _mark_stage gives its runs.  No run merges
+across stages, as runs of two stages differ in stage, so a stage
+canonicalised alone (an origin only as the first run of stage 1) is
+part of the canonical sequence: the evaluation pass of invariants keeps
+one record per stage key and joins a class's records.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from itertools import chain, repeat
-from operator import add
+from itertools import chain, repeat, starmap
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -222,26 +216,6 @@ def _mark_stage(a: int, b: int, stage: int) -> tuple[Run, ...]:
     return tuple(out)
 
 
-def _build_sequence(c: CharacteristicExponents, table: dict) -> MultiplicitySequence:
-    """The stages of c from table joined, before SEQUENCE_IDENTITIES run.
-
-    A key first met gets its record: its runs, checked once, their sums,
-    and no values yet.  Each stage is a canonical record and no run merges
-    across stages, so the join is the runs in stage order and the sums added.
-    """
-    runs, sums = (), None
-    for key in c.stage_keys:
-        stage = table.get(key)
-        if stage is None:
-            stage_runs, stage_sums = _canonical(_mark_stage(*key), origin=key[2] == 1)
-            stage = table[key] = SimpleNamespace(runs=stage_runs, sums=stage_sums, values=None)
-        runs += stage.runs
-        sums = stage.sums if sums is None else tuple(map(add, sums, stage.sums))
-    m = object.__new__(MultiplicitySequence)  # canonical already: no __post_init__ pass
-    m.__dict__.update(runs=runs, _sums=sums)
-    return m
-
-
 # the rows of invariants.IDENTITIES about v.seq, the sequence of class v.c;
 # each reads its sum from _sums, tested inline to fit in 64 bits, and calls
 # the sum_* method, which refuses a sum past them, only when the row fails
@@ -265,7 +239,7 @@ def multiplicity_sequence(c: CharacteristicExponents) -> MultiplicitySequence:
     that produced them; the trailing multiplicity-1 points are included.
     It runs the rows of SEQUENCE_IDENTITIES first, each sum checked to 64 bits.
     """
-    seq = _build_sequence(c, {})
+    seq = MultiplicitySequence(tuple(chain.from_iterable(starmap(_mark_stage, c.stage_keys))))
     check_rows(SEQUENCE_IDENTITIES, SimpleNamespace(c=c, seq=seq), subject=c)
     return seq
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 from contextlib import closing
 from dataclasses import dataclass
 from operator import add
-from types import SimpleNamespace
 
 from .combinatorics import CharacteristicExponents
 from .errors import InternalInvariantViolation, failing_rows
@@ -66,11 +65,11 @@ def _suite_run(classes, table: dict) -> dict[str, str]:
             fail(name, c, detail)
         # a minimal sequence ends on a satellite run, so the appended run
         # stays a run of its own and adds its sums to the whole's
-        whole, stage = _run_sums(v.seq), v.seq.runs[-1].stage
+        whole, stage = _run_sums(v.seq.runs), v.seq.runs[-1].stage
         want = (v.n, *[getattr(v, name) for name in _SUM_NAMES])
         for k in (1, 2, 5):
             if (k, stage) not in appended:
-                appended[k, stage] = _run_sums(SimpleNamespace(runs=(Run(1, k, _FREE, stage),)))
+                appended[k, stage] = _run_sums((Run(1, k, _FREE, stage),))
             if (v.seq.origin_multiplicity, *map(add, whole, appended[k, stage])) != want:
                 fail("resolution_invariance", c, f"changed after appending {k} points")
                 break

@@ -33,7 +33,6 @@ import json
 import math
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from itertools import accumulate, combinations
-from types import SimpleNamespace
 
 from branch_invariants import (
     CharacteristicExponents,
@@ -58,7 +57,7 @@ from branch_invariants.errors import (
     echo_plain,
     exact_div,
 )
-from branch_invariants.invariants import _evaluate, _sequence_values
+from branch_invariants.invariants import _SUM_NAMES, _evaluate, _run_sums
 from branch_invariants.resolution import MultiplicitySequence, PointKind, append_smooth_points
 
 # arithmetic over GF(P): exact, fast, and an accidental zero would need a
@@ -239,8 +238,9 @@ def resolution_invariance_reference(bounds) -> tuple[bool, str]:
 
     Each class that passes the evaluation pass has its sequence rebuilt
     with k = 1, 2, 5 smooth points appended, and every quantity of the
-    rebuilt one is compared with the pass's; the detail names the first
-    class that differs, in enumeration order.
+    rebuilt one, summed through this module's own binding of _run_sums as
+    the suite's are through its own, is compared with the pass's; the
+    detail names the first class that differs, in enumeration order.
     """
     for c in enumerate_classes(bounds):
         try:
@@ -248,8 +248,9 @@ def resolution_invariance_reference(bounds) -> tuple[bool, str]:
         except InternalInvariantViolation:
             continue
         for k in (1, 2, 5):
-            ext = _sequence_values(append_smooth_points(v.seq, k), SimpleNamespace())
-            if any(value != getattr(v, key) for key, value in vars(ext).items()):
+            m = append_smooth_points(v.seq, k)
+            ext = dict(zip(_SUM_NAMES, _run_sums(m.runs)), n=m.origin_multiplicity)
+            if any(value != getattr(v, key) for key, value in ext.items()):
                 return False, f"first failure at {c}: changed after appending {k} points"
     return True, ""
 

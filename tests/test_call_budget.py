@@ -21,14 +21,14 @@ from branch_invariants.cli import _csv_line, main
 
 BOX = EnumerationBounds(8, 40)
 CLASSES = 569
-# measured on CPython 3.11: 61.58 per class here, where the work done once
-# per stage key is shared by few classes, and 38.03 on the (12, 100) box.
+# measured on CPython 3.11: 58.58 per class here, where the work done once
+# per stage key is shared by few classes, and 35.03 on the (12, 100) box.
 # 3.10 opens a frame for the same functions, comprehensions and generator
 # resumptions.  The margin is one call per class: room for a small change
 # of path, not for an undone cut (the tree before the inline guards and
 # the records built in one update made 54,684 calls here, 96.11 per
 # class, and the tree before the first cuts 75,620, 132.90 per class).
-MEASURED_CALLS = 35_038
+MEASURED_CALLS = 33_331
 MARGIN_CALLS = CLASSES
 
 
@@ -70,7 +70,7 @@ def test_a_sweep_makes_the_same_calls_on_every_run_within_its_budget():
 # before the inline guards and the records built in one update made 166,
 # 208 and 213 (with the standard library's calls, 221, 269 and 271 then
 # and 169, 201 and 202 here).
-QUERY_CALLS = {"2:1995": 121, "87:233": 149, "4:6,7": 152}
+QUERY_CALLS = {"2:1995": 118, "87:233": 146, "4:6,7": 149}
 PACKAGE = os.path.dirname(branch_invariants.__file__) + os.sep
 
 

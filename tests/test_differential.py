@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
+from itertools import chain, starmap
 from types import SimpleNamespace
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from branch_invariants import (
     BranchInvariantError,
     CharacteristicExponents,
+    DomainError,
     MultiplicitySequence,
     OverflowLimitError,
     PointKind,
@@ -33,12 +35,13 @@ from branch_invariants import (
 from branch_invariants.combinatorics import _conductor_formula
 from branch_invariants.errors import INT64_MAX
 from branch_invariants.invariants import (
+    _SUM_NAMES,
     _differential_gap_formula,
+    _evaluate,
     _minimal_tjurina_formula,
     _sequence_values,
-    _stage_sums,
 )
-from branch_invariants.resolution import _build_sequence
+from branch_invariants.resolution import _mark_stage
 from oracles import (
     blowup_multiplicity_sequence,
     naive_conductor_and_gaps,
@@ -180,6 +183,11 @@ def huge_classes(draw) -> CharacteristicExponents:
     return CharacteristicExponents(n, tuple(beta))
 
 
+def unchecked_sequence(c: CharacteristicExponents) -> MultiplicitySequence:
+    """The sequence of c from its stages' runs, before SEQUENCE_IDENTITIES run."""
+    return MultiplicitySequence(tuple(chain.from_iterable(starmap(_mark_stage, c.stage_keys))))
+
+
 @settings(max_examples=200, deadline=None)
 @given(huge_classes())
 @example(CharacteristicExponents(2, (10**18 + 1,)))
@@ -193,7 +201,7 @@ def test_runs_reach_the_int64_edges(c):
     reached even where multiplicity_sequence refuses the class.
     """
     try:
-        m = _build_sequence(c, {})
+        m = unchecked_sequence(c)
         mu = milnor_number(m)
         tau_min = minimal_tjurina(m)
         bound = tjurina_lower_bound(c.n)
@@ -213,8 +221,8 @@ def test_int64_edge_example_values():
     with pytest.raises(OverflowLimitError):
         multiplicity_sequence(edge)  # its sum of multiplicities leaves 64 bits
     with pytest.raises(OverflowLimitError):
-        milnor_number(_build_sequence(edge, {}))
-    m = _build_sequence(CharacteristicExponents(2, (INT64_MAX,)), {})
+        milnor_number(unchecked_sequence(edge))
+    m = unchecked_sequence(CharacteristicExponents(2, (INT64_MAX,)))
     assert milnor_number(m) == minimal_tjurina(m) == INT64_MAX - 1
 
 
@@ -227,7 +235,7 @@ def test_int64_edge_example_values():
 def test_run_sums_are_checked_at_their_exact_totals(c):
     """The exact sum over the points when it fits in 64 bits, else an overflow error."""
     for extra in (0, 1, 2, 5):
-        m = append_smooth_points(_build_sequence(c, {}), extra)
+        m = append_smooth_points(unchecked_sequence(c), extra)
         adjusted = [r.multiplicity + {"origin": 0, "free": 1, "satellite": 2}[r.kind.value]
                     for r in m.runs]
         mu = sum(r.count * r.multiplicity * (r.multiplicity - 1) for r in m.runs)
@@ -246,17 +254,14 @@ SHARED_STAGES: dict = {}
 
 
 def stage_route(c):
-    """The evaluation pass's route to the sequence and its sums, on SHARED_STAGES."""
-    v = SimpleNamespace(c=c)
-    v.seq = _build_sequence(c, SHARED_STAGES)
-    _stage_sums(v, SHARED_STAGES)
-    del v.c
-    return vars(v)
+    """The evaluation pass's sequence and sums, from its stage records on SHARED_STAGES."""
+    v = _evaluate(c, SHARED_STAGES)
+    return {name: getattr(v, name) for name in ("seq", "n", *_SUM_NAMES)}
 
 
 def run_sum_route(c):
     """The same values from the whole sequence, one run sum per quantity."""
-    m = _build_sequence(c, {})
+    m = unchecked_sequence(c)
     return {"seq": m, **vars(_sequence_values(m, SimpleNamespace()))}
 
 
@@ -278,8 +283,16 @@ def test_stage_sums_match_run_sums(c):
 @example(CharacteristicExponents(3, (INT64_MAX,)))
 # mu leaves 64 bits inside stage 2, past where stage 1's total alone reaches
 @example(CharacteristicExponents(10, (576540315836020665, 1634362939506820639)))
+@example(CharacteristicExponents(2, (4194301,)))  # huge values are refused; this one is not
 def test_stage_sums_fail_as_run_sums_do(c):
-    assert outcome(stage_route, c) == outcome(run_sum_route, c)
+    """Equal values, or a refusal at the conductor or the sieve that marks no stage of c."""
+    before = dict(SHARED_STAGES)
+    got = outcome(stage_route, c)
+    if type(got) is dict:
+        assert got == run_sum_route(c)
+    else:
+        assert got[0] in (OverflowLimitError, DomainError)
+        assert SHARED_STAGES == before
 
 
 @settings(max_examples=200, deadline=None)

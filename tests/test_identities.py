@@ -152,7 +152,7 @@ def test_failing_row_gives_its_detail(row, field, value, detail):
     "module, attr, identity",
     [
         (inv, "semigroup_from_char_exponents", "semigroup_round_trip"),
-        (inv, "_build_sequence", "multiplicity_total_sum"),
+        (inv, "_mark_stage", "multiplicity_total_sum"),
         (inv, "_conductor_formula", "conductor_sieve_agreement"),
         (inv, "_minimal_tjurina_formula", "tau_min_double_computation"),
     ],

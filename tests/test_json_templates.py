@@ -197,7 +197,7 @@ def test_sweep_document_equals_json_dumps(box, max_pairs):
 
 
 def counted_calls(monkeypatch, real) -> list:
-    """The first argument of every later call to real, through every module global.
+    """The arguments of every later call to real, through every module global.
 
     Each package module that holds real as a global gets the same
     counting wrapper, so no route to it goes uncounted.
@@ -205,7 +205,7 @@ def counted_calls(monkeypatch, real) -> list:
     calls = []
 
     def counted(*args):
-        calls.append(args[0])
+        calls.append(args)
         return real(*args)
 
     for module in (cli, comb, en, inv, res, sc):
@@ -215,19 +215,19 @@ def counted_calls(monkeypatch, real) -> list:
 
 
 class TestWrappedAttributes:
-    """invariants builds its class once; full_report, sweep and the suite stay cli globals."""
+    """invariants builds its class once, one stage record per stage key; full_report, sweep and the suite stay cli globals."""
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
     def test_invariants_builds_the_semigroup_and_the_sequence_once(self, monkeypatch, fmt):
         semigroups = counted_calls(monkeypatch, comb.semigroup_from_char_exponents)
-        sequences = counted_calls(monkeypatch, res._build_sequence)
+        stages = counted_calls(monkeypatch, res._mark_stage)
         for c in (CharacteristicExponents(5, (7,)), CharacteristicExponents(8, (12, 14, 15))):
             semigroups.clear()
-            sequences.clear()
+            stages.clear()
             code, out, _ = run_main(["invariants", "--char-exponents", exponents_arg(c),
                                      "--format", fmt])
             assert code == 0 and out
-            assert (semigroups, sequences) == ([c], [c])
+            assert (semigroups, stages) == ([(c,)], list(c.stage_keys))
 
     def test_sweep_and_suite_are_module_attributes(self):
         assert cli.full_report is inv.full_report

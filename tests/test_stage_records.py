@@ -1,9 +1,10 @@
 """Stage records: a class's sequence is its stages' records joined, each stage checked once.
 
 A record holds a stage's runs, checked and merged as MultiplicitySequence
-does, and their sums; _build_sequence concatenates records without
+does, and their sums; the evaluation pass concatenates records without
 canonicalising again.  So the joined sequence must equal the canonical
-one, a broken stage must still be refused, and the per-class work must
+one, a broken stage must still be refused, a class refused at the
+conductor or the sieve must mark no stage, and the per-class work must
 not creep back: each stage is marked once per table, each class derives
 its stage keys once, and the integer rule runs a bounded number of
 times per class.
@@ -20,13 +21,16 @@ from hypothesis import strategies as st
 
 import branch_invariants.combinatorics as comb
 import branch_invariants.errors as errors
+import branch_invariants.invariants as inv
 import branch_invariants.resolution as res
 import branch_invariants.selfcheck as sc
 from branch_invariants import (
     CharacteristicExponents,
+    DomainError,
     EnumerationBounds,
     InternalInvariantViolation,
     MultiplicitySequence,
+    OverflowLimitError,
     PointKind,
     Run,
     enumerate_classes,
@@ -35,6 +39,7 @@ from branch_invariants import (
 from branch_invariants.cli import main
 from branch_invariants.enumeration import THREADS_ENV_VAR
 from branch_invariants.errors import INT64_MAX
+from branch_invariants.invariants import _evaluate
 from test_differential import DEEP_BETA, DEEP_MULT, classes, huge_classes
 from test_sweep_shards import forks
 
@@ -64,10 +69,14 @@ def sums(m: MultiplicitySequence) -> list:
 @given(st.one_of(classes(max_mult=DEEP_MULT, max_beta=DEEP_BETA), huge_classes()),
        st.booleans())
 @example(CharacteristicExponents(4, (6, 7)), True)
-@example(CharacteristicExponents(3, (INT64_MAX,)), False)  # the total sum leaves 64 bits
+@example(CharacteristicExponents(3, (INT64_MAX,)), False)  # refused at the conductor
+@example(CharacteristicExponents(2, (4194301,)), False)  # c + n just below SIEVE_LIMIT
 def test_joined_sequence_is_the_canonical_one(c, shared):
-    joined = res._build_sequence(c, SHARED_STAGES if shared else {})
     assert c.stage_keys == tuple(stage_keys_reference(c))
+    try:
+        joined = _evaluate(c, SHARED_STAGES if shared else {}).seq
+    except (OverflowLimitError, DomainError):
+        return  # no stage is reached: see test_a_class_refused_before_its_stages_marks_none
     # the stages' runs canonicalised as one sequence, as before stage records
     raw = tuple(chain.from_iterable(res._mark_stage(*key) for key in stage_keys_reference(c)))
     for canonical in (MultiplicitySequence(joined.runs), MultiplicitySequence(raw)):
@@ -97,17 +106,25 @@ MUTANTS = [
 ]
 
 
+def break_stages(monkeypatch, mutant):
+    """mutant in place of _mark_stage, in the evaluation pass and in multiplicity_sequence."""
+    for module in (inv, res):
+        monkeypatch.setattr(module, "_mark_stage", mutant)
+
+
 @pytest.mark.parametrize("mutant, message", [m[:2] for m in MUTANTS])
 def test_a_broken_stage_is_refused_by_its_record(monkeypatch, mutant, message):
-    monkeypatch.setattr(res, "_mark_stage", mutant)
-    with pytest.raises(InternalInvariantViolation) as info:
-        res._build_sequence(CharacteristicExponents(4, (6, 7)), {})
-    assert str(info.value).startswith(message)
+    break_stages(monkeypatch, mutant)
+    c = CharacteristicExponents(4, (6, 7))
+    for build in (lambda: _evaluate(c, {}), lambda: res.multiplicity_sequence(c)):
+        with pytest.raises(InternalInvariantViolation) as info:
+            build()
+        assert str(info.value).startswith(message)
 
 
 @pytest.mark.parametrize("mutant, message", [m[:2] for m in MUTANTS])
 def test_a_broken_stage_exits_3_from_invariants(capsys, monkeypatch, mutant, message):
-    monkeypatch.setattr(res, "_mark_stage", mutant)
+    break_stages(monkeypatch, mutant)
     assert main(["invariants", "--char-exponents", "4:6,7"]) == 3
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1
@@ -117,7 +134,7 @@ def test_a_broken_stage_exits_3_from_invariants(capsys, monkeypatch, mutant, mes
 @pytest.mark.parametrize("threads", [None, pytest.param("2", marks=forks)])
 @pytest.mark.parametrize("mutant, message, first", MUTANTS)
 def test_a_broken_stage_fails_check(capsys, monkeypatch, mutant, message, first, threads):
-    monkeypatch.setattr(res, "_mark_stage", mutant)
+    break_stages(monkeypatch, mutant)
     monkeypatch.setattr(sc, "SIGMA_BOUND_LIMIT", 10)  # the scan is not under test
     if threads:
         monkeypatch.setenv(THREADS_ENV_VAR, threads)
@@ -147,8 +164,39 @@ def test_each_stage_and_each_class_is_prepared_once():
     keys = {key for c in box for key in stage_keys_reference(c)}
     marks, derivations, int_checks = call_counts(
         lambda: sweep(bounds, workers=1),
-        res._mark_stage, comb._stage_keys, errors.check_int64,
+        res._mark_stage, comb._validate_exponents, errors.check_int64,
     )
     assert marks == len(keys)  # once per distinct stage key
-    assert derivations == len(box)  # once per class, when it is validated
+    assert derivations == len(box)  # once per class: validation makes the stage keys
     assert int_checks <= INT_RULE_PER_CLASS * len(box)
+
+
+# (argv, its one stderr line): refused at the sieve, and at the conductor
+REFUSED_QUERIES = [
+    (["invariants", "--pair", "2,10000001"],
+     "error: membership sieve of 10000002 cells exceeds the limit of 4194304 (SIEVE_LIMIT)"),
+    (["invariants", "--pair", "3,9223372036854775807"],
+     "error: value 18446744073709551614 exceeds the signed 64-bit range"),
+]
+
+
+@pytest.mark.parametrize("argv, line", REFUSED_QUERIES)
+def test_a_refused_query_marks_no_stage(capsys, argv, line):
+    codes = []
+    [marks] = call_counts(lambda: codes.append(main(argv)), res._mark_stage)
+    assert (codes, marks) == ([2], 0)
+    assert capsys.readouterr() == ("", line + "\n")
+
+
+@settings(max_examples=200, deadline=None)
+@given(huge_classes())
+@example(CharacteristicExponents(2, (10000001,)))  # refused at the sieve
+@example(CharacteristicExponents(3, (INT64_MAX,)))  # refused at the conductor
+def test_a_class_refused_before_its_stages_marks_none(c):
+    table: dict = {}
+    try:
+        _evaluate(c, table)
+    except (OverflowLimitError, DomainError):
+        assert table == {}
+    else:
+        assert set(c.stage_keys) <= set(table)

@@ -296,16 +296,19 @@ def break_gap_term(monkeypatch):
 
 
 def break_stage_table(monkeypatch):
-    """The stage-table tau- and q_min one too large at n = 5; tau_min's two routes still agree."""
-    real = inv._stage_sums
+    """The stage records' tau- and q_min one too large at n = 5; tau_min's two routes still agree.
 
-    def shifted(v, table):
-        real(v, table)
-        if v.n == 5:
-            v.tau_minus += 1
-            v.q_min += 1
+    The pass makes each record's sums with inv._run_sums; the suite and
+    the reference sum the whole sequence through bindings of their own.
+    """
+    real = inv._run_sums
 
-    monkeypatch.setattr(inv, "_stage_sums", shifted)
+    def shifted(runs):
+        mu, tau_minus, q_min, *rest = real(runs)
+        at_5 = runs[0].kind is PointKind.ORIGIN and runs[0].multiplicity == 5
+        return (mu, tau_minus + at_5, q_min + at_5, *rest)
+
+    monkeypatch.setattr(inv, "_run_sums", shifted)
 
 
 @pytest.mark.parametrize("mutant, first_failure", [
