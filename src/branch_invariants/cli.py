@@ -44,7 +44,8 @@ message" line, without usage, and a value it quoted is cut by the value's
 own head and length.  check walks its box on the workers sweep would use.
 main builds its argument parser once per process, on its first call.  An
 argv that starts with a command word is parsed by that command's parser;
-any other argv is parsed by the top-level parser.
+any other argv is parsed by the top-level parser, which drops a leading
+"--" before a word that is no option.
 """
 
 from __future__ import annotations
@@ -257,11 +258,6 @@ def _csv_line(rec: SweepRecord) -> str:
 def _csv_row(rec: SweepRecord) -> str:
     """_csv_line(rec) without its newline."""
     return _csv_line(rec)[:-1]
-
-
-def _record_row(rec: SweepRecord) -> list[str]:
-    """The fields of rec, in CSV_COLUMNS order."""
-    return _csv_row(rec).split(",")
 
 
 def cmd_invariants(args) -> int:
@@ -483,6 +479,19 @@ class _OneLineParser(argparse.ArgumentParser):
         if extras:  # argparse's own message, the extras cut as one text
             self.error(f"unrecognized arguments: {echo_plain(' '.join(extras))}")
         return parsed
+
+    def parse_known_args(self, args=None, namespace=None):
+        """argparse's parse_known_args, a leading "--" before a word that is no option dropped.
+
+        CPython 3.10 to 3.12 hand that "--" to the subparsers action, which
+        refuses it as a command; 3.13 drops it and reads the word as the
+        command, and so does this, on every Python.  A command's parser
+        has no subparsers, and keeps its "--".
+        """
+        args = sys.argv[1:] if args is None else list(args)
+        if args[:1] == ["--"] and args[1:] and not args[1].startswith("-") and self._subparsers:
+            args = args[1:]
+        return super().parse_known_args(args, namespace)
 
     def error(self, message: str):
         sys.exit(_fail(2, f"{self.prog}: error: {_ARGV_TEXT.sub(_cut_argv_text, message)}"))

@@ -68,7 +68,6 @@ class CharacteristicExponents:
     stage_keys: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __init__(self, n: int, beta) -> None:
-        # written out rather than generated with a __post_init__: one frame per class
         beta = tuple(beta)
         chain, keys = _validate_exponents(n, beta)
         self.__dict__.update(n=n, beta=beta, gcd_chain=chain, stage_keys=keys)
@@ -132,7 +131,6 @@ class SemigroupGenerators:
     multipliers: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __init__(self, gens) -> None:
-        # written out rather than generated with a __post_init__: one frame per class
         gens = tuple(gens)
         chain, mult = _validate_generators(gens)
         self.__dict__.update(gens=gens, gcd_chain=chain, multipliers=mult)
@@ -208,31 +206,68 @@ def validate_semigroup(gens) -> SemigroupGenerators:
     return SemigroupGenerators(_iterable(gens, "generators"))
 
 
+def _admissible_after(e: int, exponents):
+    """The exponents b of exponents that may follow a gcd chain at e: those e does not divide.
+
+    The one-step check of the enumeration walk, lazy over a range of any
+    length: each b is tested by e.__rmod__ (b % e), with no Python frame.
+    """
+    return filter(e.__rmod__, exponents)
+
+
+def _semigroup_root(n: int) -> tuple:
+    """The carry of multiplicity n and no exponent, that _generator_step grows."""
+    return (n,), (n,), (), 0, 1 - n
+
+
+def _generator_step(carry: tuple, e: int, b: int, e_next: int) -> tuple:
+    """The carry of the exponents (n; beta_1, ..., beta_k, b), from the carry of (n; beta_1, ..., beta_k).
+
+    A carry is (gens, chain, multipliers, acc, partial): the generators
+    v_0, ..., v_k with their gcd chain and multipliers as
+    SemigroupGenerators keeps them, both computed from the generators;
+    acc = sum_{j<=k} (e_{j-1} - e_j) beta_j, which the next generator
+    divides by e_k; and partial = 1 - v_0 + sum_{j<=k} (n_j - 1) v_j, the
+    closed-form conductor so far.  e = e_k and e_next = gcd(e_k, b) are the
+    class's own gcd chain.  e must divide acc, or exact_div refuses it.
+    The generator v = acc/e + b is tested as _validate_generators tests
+    the last of gens + (v,): 64 bits, with acc, then domination over v_k,
+    divisibility, and a chain at 1 once e_next is 1; exact_div,
+    check_int64 and _validate_generators run only to refuse.  partial is
+    not checked here: it stays below the next generator, so only a
+    class's last term can leave 64 bits first (see invariants._evaluate).
+    """
+    gens, chain, mult, acc, partial = carry
+    q, r = divmod(acc, e)
+    if r:
+        exact_div(acc, e, "generator accumulator")
+    v = q + b
+    if acc > INT64_MAX or v > INT64_MAX:
+        check_int64(acc, v)
+    last = chain[-1]
+    g = math.gcd(last, v)
+    if v <= (mult[-1] * gens[-1] if mult else gens[0]) or g == last or (e_next == 1 and g != 1):
+        _validate_generators(gens + (v,))  # raises, naming the first condition v breaks
+    return (gens + (v,), chain + (g,), mult + (last // g,), acc + (e - e_next) * b,
+            partial + (last // g - 1) * v)
+
+
 def semigroup_from_char_exponents(c: CharacteristicExponents) -> SemigroupGenerators:
     """Minimal semigroup generators of the class with exponents c.
 
     v_0 = n, v_1 = beta_1, and each later generator accumulates the
     differences of the gcd chain:
     v_{i+1} = sum_{j<=i} ((e_{j-1} - e_j)/e_i) beta_j + beta_{i+1}.
-    The sum over j <= i is kept running: each generator adds one term.
-    The division and the 64-bit test of acc and v are written inline, and
-    call exact_div and check_int64 only to refuse.
+    One _generator_step per exponent keeps the sum running and tests its
+    generator, so each is checked once; the evaluation pass grows the
+    same carry down the enumeration tree.
     """
-    chain, beta = c.gcd_chain, c.beta
-    gens = [c.n, beta[0]]
-    acc = 0
-    for i in range(1, len(beta)):
-        # e_0 = n, so the j = 1 term is (n - e_1) beta_1
-        acc += (chain[i - 1] - chain[i]) * beta[i - 1]
-        q, r = divmod(acc, chain[i])
-        if r:
-            exact_div(acc, chain[i], "generator accumulator")
-        v = q + beta[i]
-        if not (type(acc) is type(v) is int
-                and INT64_MIN <= acc <= INT64_MAX and INT64_MIN <= v <= INT64_MAX):
-            check_int64(acc, v)
-        gens.append(v)
-    return SemigroupGenerators(tuple(gens))
+    carry = _semigroup_root(c.n)
+    for e, b, e_next in zip(c.gcd_chain, c.beta, c.gcd_chain[1:]):
+        carry = _generator_step(carry, e, b, e_next)
+    s = object.__new__(SemigroupGenerators)
+    s.__dict__.update(gens=carry[0], gcd_chain=carry[1], multipliers=carry[2])
+    return s
 
 
 def _exponents_from_generators(s: SemigroupGenerators) -> tuple[int, tuple[int, ...]]:

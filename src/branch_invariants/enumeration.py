@@ -1,9 +1,20 @@
 """Enumeration of equisingularity classes and identity sweeps.
 
-Classes are generated in lexicographic order of (n, beta_1, ..., beta_g):
-each prefix (n, beta_1) with n not dividing beta_1 roots a subtree that
-one recursive _extend grows while the gcd chain stays above 1, and
-enumerate_classes chains the subtrees.
+Classes are generated in lexicographic order of (n, beta_1, ...,
+beta_g) as the leaves of a tree.  Each prefix (n, beta_1) with n not
+dividing beta_1 roots a subtree, walked depth first.  A node is
+exponents (n; beta_1, ..., beta_k), and a child is its parent plus one
+exponent b that e_k does not divide.  A node whose gcd chain reaches 1
+is a class, a leaf; any other is a prefix of the classes below it, and
+is walked on.  A node is an invariants._Prefix: it holds its exponents,
+gcd chain and stage keys, each its parent's plus one entry, and the
+carries the evaluation pass fills on first use and shares with every
+class below it: the generators with their accumulator and the
+conductor's partial sum, and the node's stages joined with their sums.
+So a class is evaluated incrementally: one exponent checked, one
+generator, one conductor term, one stage looked up and one tuple of
+sums added, whatever its g.  The walk yields each class with its node;
+enumerate_classes yields the classes alone.
 A sweep evaluates each class in range once and runs every identity of
 invariants.IDENTITIES on it; a class that fails an identity or raises
 InternalInvariantViolation is recorded as failed, with the reason,
@@ -37,11 +48,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import chain, islice, starmap
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator
 
-from .combinatorics import CharacteristicExponents, SemigroupGenerators
+from .combinatorics import CharacteristicExponents, SemigroupGenerators, _admissible_after
 from .errors import DomainError, InternalInvariantViolation, check_int64, echo, echo_plain
-from .invariants import InvariantReport, _checked_report, _evaluate
+from .invariants import InvariantReport, _checked_report, _evaluate, _Prefix, _root
 
 THREADS_ENV_VAR = "BRANCH_INVARIANTS_THREADS"
 # prefixes per pool task: a worker's table outlives its tasks, so small
@@ -100,37 +112,45 @@ def _prefixes(bounds: EnumerationBounds) -> Iterator[tuple[int, int]]:
                 yield n, b
 
 
-def _extend(
-    bounds: EnumerationBounds, n: int, beta: tuple[int, ...], e: int
-) -> Iterator[CharacteristicExponents]:
-    """The classes of multiplicity n whose exponents begin with beta (gcd chain at e > 1).
+def _subtree(bounds: EnumerationBounds, n: int, b: int) -> Iterator:
+    """(node, c) for each class c under the prefix (n, b), in order, with c's node.
 
-    A class is yielded from its parent's loop, so a leaf opens no generator.
+    The walk is depth first from a root node of multiplicity n, one
+    stack entry per node: the node and its next exponents still to try,
+    which _admissible_after cuts to those e_k does not divide.  Each b
+    left is a child node.  Where the gcd chain reaches 1 the child is a
+    class: its record is the one CharacteristicExponents builds, the
+    node's exponents, gcd chain and stage keys set in one update, with no
+    validation again.  Any other child is walked before the exponents
+    after b.
     """
-    if bounds.max_pairs is None or len(beta) < bounds.max_pairs:
-        for b in range(beta[-1] + 1, bounds.max_beta + 1):
-            if b % e:
-                e_next = math.gcd(e, b)
-                if e_next == 1:
-                    yield CharacteristicExponents(n, beta + (b,))
-                else:
-                    yield from _extend(bounds, n, beta + (b,), e_next)
-
-
-def _subtree(bounds: EnumerationBounds, n: int, b: int) -> Iterable[CharacteristicExponents]:
-    """The classes under the prefix (n, b): the class (n; b) itself when gcd(n, b) = 1."""
-    e = math.gcd(n, b)
-    return (CharacteristicExponents(n, (b,)),) if e == 1 else _extend(bounds, n, (b,), e)
+    stack = [(_root(n), _admissible_after(n, (b,)))]
+    while stack:
+        node, exponents = stack[-1]
+        e = node.chain[-1]
+        for b in exponents:
+            e_next = math.gcd(e, b)
+            if e_next == 1:
+                leaf = _Prefix(node, b, 1)
+                c = object.__new__(CharacteristicExponents)
+                c.__dict__.update(n=n, beta=leaf.beta, gcd_chain=leaf.chain, stage_keys=leaf.keys)
+                yield leaf, c
+            elif bounds.max_pairs is None or len(node.beta) + 1 < bounds.max_pairs:
+                child = _Prefix(node, b, e_next)
+                stack.append((child, _admissible_after(e_next, range(b + 1, bounds.max_beta + 1))))
+                break
+        else:
+            stack.pop()
 
 
 def _subtrees(bounds: EnumerationBounds, prefixes: Iterable) -> Iterator:
-    """The classes under each (n, beta_1) of prefixes, prefix by prefix."""
+    """(node, c) for each class c under each (n, beta_1) of prefixes, prefix by prefix."""
     return chain.from_iterable(starmap(partial(_subtree, bounds), prefixes))
 
 
 def enumerate_classes(bounds: EnumerationBounds) -> Iterator[CharacteristicExponents]:
     """All admissible classes inside bounds, in lexicographic order."""
-    return _subtrees(bounds, _prefixes(bounds))
+    return map(itemgetter(1), _subtrees(bounds, _prefixes(bounds)))
 
 
 @dataclass(frozen=True)
@@ -156,10 +176,10 @@ class SweepRecord:
         return dict.fromkeys(names, self.passed)
 
 
-def _evaluate_record(c: CharacteristicExponents, table: dict) -> SweepRecord:
-    """The record of c; a passed one is SweepRecord(c, s, report), its fields set in one update."""
+def _evaluate_record(c: CharacteristicExponents, table: dict, node=None) -> SweepRecord:
+    """The record of c, from its node if given (see _evaluate); a passed one is SweepRecord(c, s, report)."""
     try:
-        v = _evaluate(c, table)
+        v = _evaluate(c, table, node)
         report = _checked_report(v)
     except InternalInvariantViolation as exc:
         return SweepRecord(c, None, None, f"{type(exc).__name__}: {exc}")
@@ -206,12 +226,12 @@ _worker_table: dict = {}  # a pool worker's stage table for the pool's life; emp
 
 
 def _run_prefixes(run, bounds, prefixes, table: dict = _worker_table):
-    """run(classes, table) on the classes under prefixes; pool tasks use the worker's table."""
+    """run(leaves, table) on the (node, class) pairs under prefixes; pool tasks use the worker's table."""
     return run(_subtrees(bounds, prefixes), table)
 
 
 def _walk(bounds: EnumerationBounds, run: Callable, workers: int | None) -> Iterator:
-    """run(classes, table) on each run of TASK_PREFIXES prefixes of bounds, yielded in prefix order.
+    """run(leaves, table) on each run of TASK_PREFIXES prefixes of bounds, yielded in prefix order.
 
     Runs are cut from the prefixes as the walk reaches them.  The first
     worker-count runs alone decide: one run goes serially, two or more
@@ -250,11 +270,14 @@ def _walk(bounds: EnumerationBounds, run: Callable, workers: int | None) -> Iter
         yield from map(partial(_run_prefixes, run, bounds, table={}), chain(first, tasks))
 
 
-def _sweep_run(classes, table: dict, render) -> tuple:
-    """Rows, failed count and largest quotient (reduced: cross-multiplying compares) of classes."""
+def _sweep_run(leaves, table: dict, render) -> tuple:
+    """Rows, failed count and largest quotient (reduced: cross-multiplying compares) of the classes.
+
+    leaves are (node, class) pairs, as the walk yields them.
+    """
     rows, failed, num, den = [], 0, 0, 1
-    for c in classes:
-        rec = _evaluate_record(c, table)
+    for node, c in leaves:
+        rec = _evaluate_record(c, table, node)
         if rec.error is not None:  # not rec.passed, without the property's call
             failed += 1
         r = rec.report

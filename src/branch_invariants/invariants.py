@@ -24,9 +24,12 @@ resolution._mark_stage(a, b, i), checked and merged by
 resolution._canonical (an origin only as the first run of stage 1), and
 their sums, the three of SEQUENCE_IDENTITIES then the _SUM_NAMES sums,
 by the same routes as over a whole sequence.  Past the semigroup, the
-conductor and the sieve, the pass walks the stage keys that the class
-kept from validation once, joining the runs (no run merges across
-stages) and adding the sums.  Only each stage's sums are checked to 64
+conductor and the sieve, the pass joins the runs (no run merges across
+stages) and adds the sums of a class's stages as a node of the
+enumeration tree (_Prefix) joins them: its parent's joined stages, kept
+on the parent for every class under it, plus its last stage's record.
+The semigroup is grown the same way, one combinatorics._generator_step
+from the parent's carry.  Only each stage's sums are checked to 64
 bits: past the sieve gate, c + n <= SIEVE_LIMIT keeps every total far
 inside them.  A table lives for one call of its maker: full_report, an
 invariants query, a sweep or worker shard, or an identity suite; the
@@ -55,10 +58,11 @@ from typing import Callable
 from .combinatorics import (
     SEMIGROUP_IDENTITIES,
     CharacteristicExponents,
-    _conductor_formula,
+    SemigroupGenerators,
     _exponents_from_generators,
+    _generator_step,
     _read_sieve,
-    semigroup_from_char_exponents,
+    _semigroup_root,
 )
 from .errors import (
     INT64_MAX,
@@ -247,16 +251,19 @@ def tjurina_lower_bound(n: int) -> int:
     """Sharp lower bound for the Tjurina number at multiplicity n.
 
     3n^2/4 - 1 for even n, 3(n^2 - 1)/4 for odd n; attained exactly by
-    the class of one pair (n; n + 1).
+    the class of one pair (n; n + 1).  Its tests and divisions are
+    inline, as in moduli_dim_term.
     """
-    check_int64(n)
-    if n < 2:
-        raise DomainError(f"lower bound needs multiplicity >= 2, got {n}")
-    if n > _SQUARE_ROOT_MAX:
-        check_int64(n * n)
+    if type(n) is not int or not 2 <= n <= _SQUARE_ROOT_MAX:
+        check_int64(n)
+        if n < 2:
+            raise DomainError(f"lower bound needs multiplicity >= 2, got {n}")
+        check_int64(n * n)  # n is past _SQUARE_ROOT_MAX, so this raises
     if n % 2 == 0:
-        return exact_div(3 * n * n, 4, "even lower bound") - 1
-    return exact_div(3 * (n * n - 1), 4, "odd lower bound")
+        t = 3 * n * n
+        return t // 4 - 1 if t % 4 == 0 else exact_div(t, 4, "even lower bound") - 1
+    t = 3 * (n * n - 1)
+    return t // 4 if t % 4 == 0 else exact_div(t, 4, "odd lower bound")
 
 
 def _rearranged_gaps(v) -> int:
@@ -328,47 +335,115 @@ class _Pass:
 
     A plain class rather than SimpleNamespace: CPython 3.11 reads the
     attributes of a plain class's instances faster, and the IDENTITIES
-    rows read dozens of them per class.  A (12, 100) CSV sweep ran about
-    6 % faster for it.
+    rows read dozens of them per class.
     """
 
 
-def _evaluate(c: CharacteristicExponents, table: dict) -> _Pass:
+# the three sums of SEQUENCE_IDENTITIES, then the _SUM_NAMES sums: a stage's or a node's
+_NO_SUMS = (0,) * (3 + len(_SUM_NAMES))
+
+
+class _Prefix:
+    """A node of the enumeration tree: exponents (n; beta_1, ..., beta_k), a class once e_k = 1.
+
+    The walk sets what the exponents decide: the gcd chain e_0, ..., e_k
+    and the stage keys, each its parent's plus one entry.  Two carries
+    are filled on first use, and a prefix node shares them with every
+    class under it: semigroup, the combinatorics._generator_step carry,
+    by the first class evaluated, and joined, the runs and the sums of
+    the node's stages joined, by the first class past the sieve gate.  A
+    carry whose making raised stays unset, so each class under the node
+    raises the same error, as it would alone.  No record holds a node.
+    """
+
+    __slots__ = ("parent", "beta", "chain", "keys", "semigroup", "joined")
+
+    def __init__(self, parent: _Prefix, b: int, e: int) -> None:
+        """The child of parent by its next exponent b, the gcd chain now at e."""
+        beta, chain = parent.beta, parent.chain
+        self.parent, self.beta, self.chain = parent, beta + (b,), chain + (e,)
+        self.keys = parent.keys + ((b - (beta[-1] if beta else 0), chain[-1], len(beta) + 1),)
+        self.semigroup = self.joined = None
+
+
+def _root(n: int) -> _Prefix:
+    """The node of multiplicity n and no exponent, its carries made: the classes of one pair hang off it."""
+    node = object.__new__(_Prefix)
+    node.parent, node.beta, node.chain, node.keys = None, (), (n,), ()
+    node.semigroup, node.joined = _semigroup_root(n), ((), _NO_SUMS)
+    return node
+
+
+def _semigroup(node: _Prefix) -> tuple:
+    """node's generator carry: its parent's, made first if need be, grown by node's last exponent."""
+    parent = node.parent
+    node.semigroup = carry = _generator_step(parent.semigroup or _semigroup(parent),
+                                             parent.chain[-1], node.beta[-1], node.chain[-1])
+    return carry
+
+
+def _joined(node: _Prefix, table: dict) -> tuple:
+    """node's stages joined: its parent's runs and sums, joined first if need be, and its last stage's.
+
+    A stage's record (runs, sums) is made on its key's first meeting and
+    kept in table.  A violation raised making it is charged to the
+    identity of its step: marking and checking the runs,
+    multiplicity_total_sum; summing them, tau_min_double_computation.
+    """
+    runs, sums = node.parent.joined or _joined(node.parent, table)
+    key = node.keys[-1]
+    stage = table.get(key)
+    if stage is None:
+        identity = "multiplicity_total_sum"
+        try:
+            stage_runs, seq_sums = _canonical(_mark_stage(*key), key[2] == 1)
+            identity = "tau_min_double_computation"
+            stage = table[key] = (stage_runs, seq_sums + _run_sums(stage_runs))
+        except InternalInvariantViolation as exc:
+            exc.identity = identity
+            raise
+    node.joined = joined = (runs + stage[0], tuple(map(add, sums, stage[1])))
+    return joined
+
+
+def _evaluate(c: CharacteristicExponents, table: dict, node: _Prefix | None = None) -> _Pass:
     """Every quantity of c that IDENTITIES compares, each computed once.
 
-    Works from the raw pieces, not the self-checking wrappers.  An
-    internal invariant violation raised on the way gets an `identity`
-    attribute: the identity charged with it, which is the one of the step
-    that was running.  c is valid, so a ValidationError from the map to
-    its generators is a bug too, raised as a violation of the round trip.
-    Any other error, such as an overflow or a sieve above SIEVE_LIMIT, is
-    about the input, and propagates.
+    node is c's node, as the walk hands it over, or else grown from c's
+    exponents by the same steps.  c is then its parent's carries plus one
+    exponent: one generator step, the conductor's last term, one stage
+    looked up and one tuple of sums added.  An internal invariant
+    violation raised on the way gets an `identity` attribute: the
+    identity charged with it, which is the one of the step that was
+    running.  c is valid, so a ValidationError from its generators is a
+    bug too, raised as a violation of the round trip.  Any other error,
+    such as an overflow or a sieve above SIEVE_LIMIT, is about the input,
+    and propagates.
     """
+    if node is None:  # grown from the root by c's exponents, as the walk grows it
+        node = _root(c.n)
+        for b, e in zip(c.beta, c.gcd_chain[1:]):
+            node = _Prefix(node, b, e)
     v = _Pass()
     v.c = c
     step = "semigroup_round_trip"
     try:
         try:
-            v.s = semigroup_from_char_exponents(c)
+            gens, chain, mult, _, conductor = _semigroup(node)
         except ValidationError as exc:  # c is valid, so its generators must be
             raise InternalInvariantViolation(f"{c}: {step} failed: {exc}") from exc
-        v.back = _exponents_from_generators(v.s)
+        v.s = s = object.__new__(SemigroupGenerators)  # validated by the steps: no __init__
+        s.__dict__.update(gens=gens, gcd_chain=chain, multipliers=mult)
+        v.back = _exponents_from_generators(s)
+        # the conductor's last term and the sum, tested as _conductor_formula tests
+        # them; each earlier partial sum is below a generator that fits in 64 bits
+        term = (mult[-1] - 1) * gens[-1]
+        if term > INT64_MAX or conductor > INT64_MAX:
+            check_int64(term, conductor)
         step = "conductor_sieve_agreement"
-        v.conductor = _conductor_formula(v.s)
+        v.conductor = conductor
         _read_sieve(v)
-        # one walk over the stages, past the sieve gate: each stage's record
-        # is made on its key's first class (see the module docstring)
-        runs, sums = (), None
-        for key in c.stage_keys:
-            stage = table.get(key)
-            if stage is None:
-                step = "multiplicity_total_sum"
-                stage_runs, seq_sums = _canonical(_mark_stage(*key), key[2] == 1)
-                step = "tau_min_double_computation"
-                stage = table[key] = (stage_runs, seq_sums + _run_sums(stage_runs))
-            runs += stage[0]
-            sums = stage[1] if sums is None else tuple(map(add, sums, stage[1]))
-        step = "tau_min_double_computation"
+        runs, sums = _joined(node, table)  # past the sieve gate
         v.seq = seq = object.__new__(MultiplicitySequence)  # canonical already: no __post_init__
         seq.__dict__.update(runs=runs, _sums=sums[:3])
         v.n = c.n
@@ -381,7 +456,8 @@ def _evaluate(c: CharacteristicExponents, table: dict) -> _Pass:
             bound = table[c.n] = tjurina_lower_bound(c.n)
         v.tau_lower_bound = bound
     except InternalInvariantViolation as exc:
-        exc.identity = step
+        if not hasattr(exc, "identity"):  # a stage record names its own step
+            exc.identity = step
         raise
     return v
 

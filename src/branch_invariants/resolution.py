@@ -48,6 +48,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from itertools import chain, repeat, starmap
+from operator import itemgetter
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -88,6 +89,9 @@ class Run(NamedTuple):
     stage: int
 
 
+_KIND = itemgetter(2)  # a run's kind, read without a Python frame per run
+
+
 def _canonical(runs, origin: bool) -> tuple[tuple[Run, ...], tuple[int, int, int]]:
     """runs checked and merged, and their sums over all, free and satellite points.
 
@@ -125,7 +129,7 @@ def _canonical(runs, origin: bool) -> tuple[tuple[Run, ...], tuple[int, int, int
             out.append(run)
     if origin and (not out or out[0].kind is not _ORIGIN):
         raise InternalInvariantViolation("sequence must start at the origin")
-    if (origin and out[0].count != 1) or any(r.kind is _ORIGIN for r in out[int(origin):]):
+    if (origin and out[0].count != 1) or _ORIGIN in map(_KIND, out[int(origin):]):
         raise InternalInvariantViolation("only the first point is the origin")
     return tuple(out), (total, free, satellite)
 

@@ -47,17 +47,17 @@ def _sigma_pointwise() -> CheckResult:
     return CheckResult("sigma_pointwise_bound", True)
 
 
-def _suite_run(classes, table: dict) -> dict[str, str]:
-    """The first failure of each identity on classes, by name."""
+def _suite_run(leaves, table: dict) -> dict[str, str]:
+    """The first failure of each identity on the classes of leaves, (node, class) pairs, by name."""
     failures: dict[str, str] = {}
 
     def fail(name: str, c: CharacteristicExponents, detail: str) -> None:
         failures.setdefault(name, f"first failure at {c}: {detail}")
 
     appended: dict = {}  # the sums of k smooth points appended in a stage, by (k, stage)
-    for c in classes:
+    for node, c in leaves:
         try:
-            v = _evaluate(c, table)
+            v = _evaluate(c, table, node)
         except InternalInvariantViolation as exc:
             fail(exc.identity, c, str(exc))
             continue

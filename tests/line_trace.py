@@ -39,8 +39,7 @@ UNRUN = [
     ("cli", "_fail", "os.dup2(null, stream.fileno())", "as the except line above"),
     ("cli", "_fail", "os.close(null)", "as the except line above"),
     ("cli", "<module>", "sys.exit(main())", "python -m branch_invariants.cli: subprocess tests only"),
-    ("combinatorics", "semigroup_from_char_exponents",
-     'exact_div(acc, chain[i], "generator accumulator")',
+    ("combinatorics", "_generator_step", 'exact_div(acc, e, "generator accumulator")',
      "a fault check: the gcd chain divides every accumulator of a valid class"),
 ]
 

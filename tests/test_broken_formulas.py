@@ -40,8 +40,19 @@ def broken(request):
     return BROKEN_CONDUCTORS[request.param]
 
 
+def break_pass_conductor(monkeypatch, broken):
+    """The evaluation pass's conductor is broken(n): the last generator step of a class carries it."""
+    real = inv._generator_step
+
+    def step(carry, e, b, e_next):
+        gens, chain, mult, acc, partial = real(carry, e, b, e_next)
+        return gens, chain, mult, acc, broken(gens[0]) if e_next == 1 else partial
+
+    monkeypatch.setattr(inv, "_generator_step", step)
+
+
 def test_invariants_exits_3_naming_the_row(capsys, monkeypatch, broken):
-    monkeypatch.setattr(inv, "_conductor_formula", lambda s: broken(s.n))
+    break_pass_conductor(monkeypatch, broken)
     assert main(["invariants", "--pair", "5,7"]) == 3
     c = broken(5)
     assert capsys.readouterr().err == (
@@ -51,7 +62,7 @@ def test_invariants_exits_3_naming_the_row(capsys, monkeypatch, broken):
 
 
 def test_check_prints_the_failing_row(capsys, monkeypatch, broken):
-    monkeypatch.setattr(inv, "_conductor_formula", lambda s: broken(s.n))
+    break_pass_conductor(monkeypatch, broken)
     monkeypatch.setattr(sc, "SIGMA_BOUND_LIMIT", 10)  # not under test here
     assert main(["check", "--max-mult", "4", "--max-beta", "12"]) == 1
     out = capsys.readouterr().out

@@ -88,7 +88,7 @@ class TestPointTemplate:
         assert _json_point(Run(m, 1, kind, stage)) == _json_item(point)
 
 
-def _interrupt(c, table):
+def _interrupt(c, table, node=None):
     raise KeyboardInterrupt
 
 
@@ -104,7 +104,7 @@ class TestOutOnFailure:
         assert target.read_text(encoding="utf-8") == "old\n"
 
     def test_interrupt_keeps_out(self, capsys, monkeypatch, tmp_path):
-        def interrupt(c, table):
+        def interrupt(c, table, node=None):
             raise KeyboardInterrupt
 
         target = tmp_path / "keep.csv"
@@ -129,7 +129,7 @@ class TestOutOnFailure:
             self, capsys, monkeypatch, tmp_path):
         target = tmp_path / "new.csv"
 
-        def delete_and_interrupt(c, table):
+        def delete_and_interrupt(c, table, node=None):
             target.unlink()
             raise KeyboardInterrupt
 
@@ -237,10 +237,10 @@ class TestOutOfMemory:
         whole = capsys.readouterr().out
         real, calls = en._evaluate, count()
 
-        def exhaust(c, table):  # the 101st class, in the seventh run of (8, 40)
+        def exhaust(c, table, node=None):  # the 101st class, in the seventh run of (8, 40)
             if next(calls) == 100:
                 raise MemoryError
-            return real(c, table)
+            return real(c, table, node)
 
         monkeypatch.setattr(en, "_evaluate", exhaust)
         assert main(argv) == 2

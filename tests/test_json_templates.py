@@ -215,19 +215,20 @@ def counted_calls(monkeypatch, real) -> list:
 
 
 class TestWrappedAttributes:
-    """invariants builds its class once, one stage record per stage key; full_report, sweep and the suite stay cli globals."""
+    """invariants builds its class once, one generator step per exponent and one stage record per stage key; full_report, sweep and the suite stay cli globals."""
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
     def test_invariants_builds_the_semigroup_and_the_sequence_once(self, monkeypatch, fmt):
-        semigroups = counted_calls(monkeypatch, comb.semigroup_from_char_exponents)
+        steps = counted_calls(monkeypatch, comb._generator_step)
         stages = counted_calls(monkeypatch, res._mark_stage)
         for c in (CharacteristicExponents(5, (7,)), CharacteristicExponents(8, (12, 14, 15))):
-            semigroups.clear()
+            steps.clear()
             stages.clear()
             code, out, _ = run_main(["invariants", "--char-exponents", exponents_arg(c),
                                      "--format", fmt])
             assert code == 0 and out
-            assert (semigroups, stages) == ([(c,)], list(c.stage_keys))
+            # each step's exponent b, the third argument, in order
+            assert ([step[2] for step in steps], stages) == (list(c.beta), list(c.stage_keys))
 
     def test_sweep_and_suite_are_module_attributes(self):
         assert cli.full_report is inv.full_report

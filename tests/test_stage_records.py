@@ -5,15 +5,17 @@ does, and their sums; the evaluation pass concatenates records without
 canonicalising again.  So the joined sequence must equal the canonical
 one, a broken stage must still be refused, a class refused at the
 conductor or the sieve must mark no stage, and the per-class work must
-not creep back: each stage is marked once per table, each class derives
-its stage keys once, and the integer rule runs a bounded number of
-times per class.
+not creep back: each stage is marked once per table, each node of the
+walk checks its next exponents once, each class adds one generator to
+its node's, and the integer rule runs a bounded number of times per
+class.
 """
 
 from __future__ import annotations
 
 import cProfile
-from itertools import chain
+import math
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -37,7 +39,7 @@ from branch_invariants import (
     sweep,
 )
 from branch_invariants.cli import main
-from branch_invariants.enumeration import THREADS_ENV_VAR
+from branch_invariants.enumeration import THREADS_ENV_VAR, _prefixes
 from branch_invariants.errors import INT64_MAX
 from branch_invariants.invariants import _evaluate
 from test_differential import DEEP_BETA, DEEP_MULT, classes, huge_classes
@@ -158,16 +160,46 @@ def call_counts(run, *functions) -> list[int]:
 INT_RULE_PER_CLASS = 15
 
 
+def tree_nodes(max_mult: int, max_beta: int) -> int:
+    """The nodes of the enumeration tree, by generate-and-filter as oracles.brute_force_classes.
+
+    A root per prefix (n, beta_1), and each (n; beta_1, ..., beta_k) whose
+    exponents are characteristic so far and whose gcd chain is still above 1.
+    """
+    nodes = 0
+    for n in range(2, max_mult + 1):
+        nodes += sum(1 for b in range(n + 1, max_beta + 1) if b % n)
+        for k in range(1, n.bit_length()):
+            for betas in combinations(range(n + 1, max_beta + 1), k):
+                e = n
+                for b in betas:
+                    if b % e == 0:
+                        break
+                    e = math.gcd(e, b)
+                else:
+                    nodes += e > 1
+    return nodes
+
+
 def test_each_stage_and_each_class_is_prepared_once():
     bounds = EnumerationBounds(8, 40)
     box = list(enumerate_classes(bounds))
     keys = {key for c in box for key in stage_keys_reference(c)}
-    marks, derivations, int_checks = call_counts(
+    parents = {(c.n, c.beta[:k]) for c in box for k in range(1, c.g)}
+    roots = len(list(_prefixes(bounds)))
+    marks, checks, derivations, steps, validations, int_checks = call_counts(
         lambda: sweep(bounds, workers=1),
-        res._mark_stage, comb._validate_exponents, errors.check_int64,
+        res._mark_stage, comb._admissible_after, inv._Prefix.__init__, comb._generator_step,
+        comb._validate_exponents, errors.check_int64,
     )
     assert marks == len(keys)  # once per distinct stage key
-    assert derivations == len(box)  # once per class: validation makes the stage keys
+    # a class is its node plus one exponent: the one-step check runs once per
+    # node, on the node's next exponents, and nothing validates a class again
+    assert checks == tree_nodes(8, 40) and validations == 0
+    # each class is derived once, as a leaf grown from its parent node, and
+    # so is every node below a root
+    assert derivations == len(box) + tree_nodes(8, 40) - roots
+    assert steps == len(box) + len(parents)  # one generator per class and per shared node
     assert int_checks <= INT_RULE_PER_CLASS * len(box)
 
 

@@ -58,11 +58,11 @@ def interrupt_at_class_30(monkeypatch):
     """Ctrl-C at the 30th class a process evaluates, past the first run of (8, 40)."""
     real, seen = en._evaluate, []
 
-    def counted(c, table):
+    def counted(c, table, node=None):
         seen.append(c)
         if len(seen) == 30:
             raise KeyboardInterrupt
-        return real(c, table)
+        return real(c, table, node)
 
     monkeypatch.setattr(en, "_evaluate", counted)
 

@@ -39,7 +39,7 @@ from branch_invariants import (
 from branch_invariants.cli import (
     CSV_COLUMNS,
     SWEEP_TABLE_HEADER,
-    _record_row,
+    _csv_row,
     _table_row,
     main,
 )
@@ -63,7 +63,7 @@ def reference_document(fmt: str, bounds: EnumerationBounds) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        writer.writerows(_record_row(rec) for rec in records)
+        writer.writerows(_csv_row(rec).split(",") for rec in records)  # the fields of each row
         return buf.getvalue()
     if fmt == "table":
         return "\n".join([SWEEP_TABLE_HEADER, *map(_table_row, records)]) + "\n"
@@ -137,7 +137,7 @@ def test_prefix_enumeration_matches_brute_force(box, max_pairs, task):
     # pool tasks: runs of consecutive prefixes, joined in order
     prefixes = list(_prefixes(bounds))
     runs = [prefixes[i:i + task] for i in range(0, len(prefixes), task)]
-    assert [(c.n, c.beta) for run in runs for c in _subtrees(bounds, run)] == whole
+    assert [(c.n, c.beta) for run in runs for _, c in _subtrees(bounds, run)] == whole
 
 
 @forks
@@ -343,7 +343,7 @@ def test_check_reports_stage_sums_that_differ_from_the_whole_sequence(
 def test_unwritable_out_exits_2_before_any_work(capsys, monkeypatch, tmp_path):
     evaluated = []
     real = en._evaluate
-    monkeypatch.setattr(en, "_evaluate", lambda c, t: evaluated.append(c) or real(c, t))
+    monkeypatch.setattr(en, "_evaluate", lambda c, t, node=None: evaluated.append(c) or real(c, t, node))
     target = tmp_path / "missing" / "x.csv"
     code = main(["sweep", "--max-mult", "10", "--max-beta", "60", "--format", "csv",
                  "--out", str(target)])
@@ -362,7 +362,7 @@ def test_failed_write_exits_2(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def interrupt(c, table):
+def interrupt(c, table, node=None):
     raise KeyboardInterrupt
 
 
@@ -382,11 +382,11 @@ def test_ctrl_c_exits_130_with_one_line(capsys, monkeypatch, command, module, th
     assert captured.out == ""
 
 
-def die_at_7_9(c, table):
+def die_at_7_9(c, table, node=None):
     """_evaluate, except that a pool worker meeting (7; 9) ends at once."""
     if (c.n, c.beta) == (7, (9,)) and multiprocessing.parent_process() is not None:
         os._exit(1)
-    return inv._evaluate(c, table)
+    return inv._evaluate(c, table, node)
 
 
 @forks
