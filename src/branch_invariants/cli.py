@@ -481,15 +481,21 @@ class _OneLineParser(argparse.ArgumentParser):
         return parsed
 
     def parse_known_args(self, args=None, namespace=None):
-        """argparse's parse_known_args, a leading "--" before a word that is no option dropped.
+        """argparse's parse_known_args, the word after a leading "--" read as the command word.
 
         CPython 3.10 to 3.12 hand that "--" to the subparsers action, which
-        refuses it as a command; 3.13 drops it and reads the word as the
-        command, and so does this, on every Python.  A command's parser
-        has no subparsers, and keeps its "--".
+        refuses it as a command; 3.13 reads the next word as the command
+        whatever it looks like, and so does this, on every Python: before a
+        command word the "--" is dropped, and any other word, -h and --help
+        included, is refused by argparse's own check of a choice.  A
+        command's parser has no subparsers, and keeps its "--".
         """
         args = sys.argv[1:] if args is None else list(args)
-        if args[:1] == ["--"] and args[1:] and not args[1].startswith("-") and self._subparsers:
+        if args[:1] == ["--"] and args[1:] and self._subparsers:
+            try:
+                self._check_value(self._subparsers._group_actions[0], args[1])
+            except argparse.ArgumentError as exc:  # as argparse reports a bad command word
+                self.error(str(exc))
             args = args[1:]
         return super().parse_known_args(args, namespace)
 

@@ -6,15 +6,16 @@ dividing beta_1 roots a subtree, walked depth first.  A node is
 exponents (n; beta_1, ..., beta_k), and a child is its parent plus one
 exponent b that e_k does not divide.  A node whose gcd chain reaches 1
 is a class, a leaf; any other is a prefix of the classes below it, and
-is walked on.  A node is an invariants._Prefix: it holds its exponents,
-gcd chain and stage keys, each its parent's plus one entry, and the
-carries the evaluation pass fills on first use and shares with every
-class below it: the generators with their accumulator and the
-conductor's partial sum, and the node's stages joined with their sums.
-So a class is evaluated incrementally: one exponent checked, one
-generator, one conductor term, one stage looked up and one tuple of
-sums added, whatever its g.  The walk yields each class with its node;
-enumerate_classes yields the classes alone.
+is walked on.  A prefix node is an invariants._Prefix: it holds its
+exponents, gcd chain and stage keys, each its parent's plus one entry,
+and one carry that the evaluation pass fills on first use and shares
+with every class below it: the generators with their accumulator and
+the conductor's partial sum.  A class is its parent's exponents, chain
+and keys plus one entry, and no node of its own.  So a class's
+generators are grown incrementally, one exponent checked, one generator
+and one conductor term whatever its g, and its g stage records are
+looked up in the pass's table.  The walk yields each class with its
+parent; enumerate_classes yields the classes alone.
 A sweep evaluates each class in range once and runs every identity of
 invariants.IDENTITIES on it; a class that fails an identity or raises
 InternalInvariantViolation is recorded as failed, with the reason,
@@ -113,30 +114,31 @@ def _prefixes(bounds: EnumerationBounds) -> Iterator[tuple[int, int]]:
 
 
 def _subtree(bounds: EnumerationBounds, n: int, b: int) -> Iterator:
-    """(node, c) for each class c under the prefix (n, b), in order, with c's node.
+    """(parent, c) for each class c under the prefix (n, b), in order, with the node c hangs off.
 
     The walk is depth first from a root node of multiplicity n, one
-    stack entry per node: the node and its next exponents still to try,
-    which _admissible_after cuts to those e_k does not divide.  Each b
-    left is a child node.  Where the gcd chain reaches 1 the child is a
-    class: its record is the one CharacteristicExponents builds, the
-    node's exponents, gcd chain and stage keys set in one update, with no
-    validation again.  Any other child is walked before the exponents
-    after b.
+    stack entry per prefix node: the node and its next exponents still
+    to try, which _admissible_after cuts to those e_k does not divide.
+    Each b left extends the node's exponents, gcd chain and stage keys by
+    one entry.  Where the gcd chain reaches 1 that is a class: its record
+    is the one CharacteristicExponents builds, set in one update, with no
+    validation again.  Anything else is a prefix node, walked before the
+    exponents after b.
     """
     stack = [(_root(n), _admissible_after(n, (b,)))]
     while stack:
         node, exponents = stack[-1]
-        e = node.chain[-1]
+        beta, chain, keys = node.beta, node.chain, node.keys
+        e, last, i = chain[-1], beta[-1] if beta else 0, len(beta) + 1
         for b in exponents:
             e_next = math.gcd(e, b)
+            keys_b = keys + ((b - last, e, i),)  # stage i's key (beta_i - beta_{i-1}, e_{i-1}, i)
             if e_next == 1:
-                leaf = _Prefix(node, b, 1)
                 c = object.__new__(CharacteristicExponents)
-                c.__dict__.update(n=n, beta=leaf.beta, gcd_chain=leaf.chain, stage_keys=leaf.keys)
-                yield leaf, c
-            elif bounds.max_pairs is None or len(node.beta) + 1 < bounds.max_pairs:
-                child = _Prefix(node, b, e_next)
+                c.__dict__.update(n=n, beta=beta + (b,), gcd_chain=chain + (1,), stage_keys=keys_b)
+                yield node, c
+            elif bounds.max_pairs is None or i < bounds.max_pairs:
+                child = _Prefix(node, beta + (b,), chain + (e_next,), keys_b)
                 stack.append((child, _admissible_after(e_next, range(b + 1, bounds.max_beta + 1))))
                 break
         else:
@@ -144,7 +146,7 @@ def _subtree(bounds: EnumerationBounds, n: int, b: int) -> Iterator:
 
 
 def _subtrees(bounds: EnumerationBounds, prefixes: Iterable) -> Iterator:
-    """(node, c) for each class c under each (n, beta_1) of prefixes, prefix by prefix."""
+    """(parent, c) for each class c under each (n, beta_1) of prefixes, prefix by prefix."""
     return chain.from_iterable(starmap(partial(_subtree, bounds), prefixes))
 
 
@@ -176,10 +178,10 @@ class SweepRecord:
         return dict.fromkeys(names, self.passed)
 
 
-def _evaluate_record(c: CharacteristicExponents, table: dict, node=None) -> SweepRecord:
-    """The record of c, from its node if given (see _evaluate); a passed one is SweepRecord(c, s, report)."""
+def _evaluate_record(c: CharacteristicExponents, table: dict, parent=None) -> SweepRecord:
+    """The record of c, from its parent node if given (see _evaluate); a passed one is SweepRecord(c, s, report)."""
     try:
-        v = _evaluate(c, table, node)
+        v = _evaluate(c, table, parent)
         report = _checked_report(v)
     except InternalInvariantViolation as exc:
         return SweepRecord(c, None, None, f"{type(exc).__name__}: {exc}")
@@ -226,7 +228,7 @@ _worker_table: dict = {}  # a pool worker's stage table for the pool's life; emp
 
 
 def _run_prefixes(run, bounds, prefixes, table: dict = _worker_table):
-    """run(leaves, table) on the (node, class) pairs under prefixes; pool tasks use the worker's table."""
+    """run(leaves, table) on the (parent node, class) pairs under prefixes; pool tasks use the worker's table."""
     return run(_subtrees(bounds, prefixes), table)
 
 
@@ -273,11 +275,11 @@ def _walk(bounds: EnumerationBounds, run: Callable, workers: int | None) -> Iter
 def _sweep_run(leaves, table: dict, render) -> tuple:
     """Rows, failed count and largest quotient (reduced: cross-multiplying compares) of the classes.
 
-    leaves are (node, class) pairs, as the walk yields them.
+    leaves are (parent node, class) pairs, as the walk yields them.
     """
     rows, failed, num, den = [], 0, 0, 1
-    for node, c in leaves:
-        rec = _evaluate_record(c, table, node)
+    for parent, c in leaves:
+        rec = _evaluate_record(c, table, parent)
         if rec.error is not None:  # not rec.passed, without the property's call
             failed += 1
         r = rec.report

@@ -24,17 +24,16 @@ resolution._mark_stage(a, b, i), checked and merged by
 resolution._canonical (an origin only as the first run of stage 1), and
 their sums, the three of SEQUENCE_IDENTITIES then the _SUM_NAMES sums,
 by the same routes as over a whole sequence.  Past the semigroup, the
-conductor and the sieve, the pass joins the runs (no run merges across
-stages) and adds the sums of a class's stages as a node of the
-enumeration tree (_Prefix) joins them: its parent's joined stages, kept
-on the parent for every class under it, plus its last stage's record.
-The semigroup is grown the same way, one combinatorics._generator_step
-from the parent's carry.  Only each stage's sums are checked to 64
-bits: past the sieve gate, c + n <= SIEVE_LIMIT keeps every total far
-inside them.  A table lives for one call of its maker: full_report, an
-invariants query, a sweep or worker shard, or an identity suite; the
-pass also keeps there the lower bound of each multiplicity n, under the
-int key n.
+conductor and the sieve, the pass looks up a class's stage records in
+one loop, joins their runs (no run merges across stages) and adds their
+sums.  The semigroup is grown down the enumeration tree instead: a
+class's generators are one combinatorics._generator_step from the carry
+of its parent, a prefix node (_Prefix) that shares the carry with every
+class under it.  Only each stage's sums are checked to 64 bits: past
+the sieve gate, c + n <= SIEVE_LIMIT keeps every total far inside them.
+A table lives for one call of its maker: full_report, an invariants
+query, a sweep or worker shard, or an identity suite; the pass also
+keeps there the lower bound of each multiplicity n, under the int key n.
 
 IDENTITIES is the one ordered table of named per-class identities: the
 semigroup round trip, combinatorics.SEMIGROUP_IDENTITIES,
@@ -339,38 +338,29 @@ class _Pass:
     """
 
 
-# the three sums of SEQUENCE_IDENTITIES, then the _SUM_NAMES sums: a stage's or a node's
-_NO_SUMS = (0,) * (3 + len(_SUM_NAMES))
-
-
 class _Prefix:
-    """A node of the enumeration tree: exponents (n; beta_1, ..., beta_k), a class once e_k = 1.
+    """A prefix node of the enumeration tree: exponents (n; beta_1, ..., beta_k) with e_k > 1.
 
-    The walk sets what the exponents decide: the gcd chain e_0, ..., e_k
-    and the stage keys, each its parent's plus one entry.  Two carries
-    are filled on first use, and a prefix node shares them with every
-    class under it: semigroup, the combinatorics._generator_step carry,
-    by the first class evaluated, and joined, the runs and the sums of
-    the node's stages joined, by the first class past the sieve gate.  A
+    The walk sets what the exponents decide: beta, the gcd chain
+    e_0, ..., e_k and the stage keys.  One carry, semigroup, the
+    combinatorics._generator_step carry, is made by the first class
+    evaluated under the node and shared by every class under it.  A
     carry whose making raised stays unset, so each class under the node
-    raises the same error, as it would alone.  No record holds a node.
+    raises the same error, as it would alone.  A class has no node of its
+    own, and no record holds one.
     """
 
-    __slots__ = ("parent", "beta", "chain", "keys", "semigroup", "joined")
+    __slots__ = ("parent", "beta", "chain", "keys", "semigroup")
 
-    def __init__(self, parent: _Prefix, b: int, e: int) -> None:
-        """The child of parent by its next exponent b, the gcd chain now at e."""
-        beta, chain = parent.beta, parent.chain
-        self.parent, self.beta, self.chain = parent, beta + (b,), chain + (e,)
-        self.keys = parent.keys + ((b - (beta[-1] if beta else 0), chain[-1], len(beta) + 1),)
-        self.semigroup = self.joined = None
+    def __init__(self, parent: _Prefix, beta: tuple, chain: tuple, keys: tuple) -> None:
+        self.parent, self.beta, self.chain, self.keys, self.semigroup = parent, beta, chain, keys, None
 
 
 def _root(n: int) -> _Prefix:
-    """The node of multiplicity n and no exponent, its carries made: the classes of one pair hang off it."""
+    """The node of multiplicity n and no exponent, its carry made: the classes of one pair hang off it."""
     node = object.__new__(_Prefix)
     node.parent, node.beta, node.chain, node.keys = None, (), (n,), ()
-    node.semigroup, node.joined = _semigroup_root(n), ((), _NO_SUMS)
+    node.semigroup = _semigroup_root(n)
     return node
 
 
@@ -382,58 +372,40 @@ def _semigroup(node: _Prefix) -> tuple:
     return carry
 
 
-def _joined(node: _Prefix, table: dict) -> tuple:
-    """node's stages joined: its parent's runs and sums, joined first if need be, and its last stage's.
-
-    A stage's record (runs, sums) is made on its key's first meeting and
-    kept in table.  A violation raised making it is charged to the
-    identity of its step: marking and checking the runs,
-    multiplicity_total_sum; summing them, tau_min_double_computation.
-    """
-    runs, sums = node.parent.joined or _joined(node.parent, table)
-    key = node.keys[-1]
-    stage = table.get(key)
-    if stage is None:
-        identity = "multiplicity_total_sum"
-        try:
-            stage_runs, seq_sums = _canonical(_mark_stage(*key), key[2] == 1)
-            identity = "tau_min_double_computation"
-            stage = table[key] = (stage_runs, seq_sums + _run_sums(stage_runs))
-        except InternalInvariantViolation as exc:
-            exc.identity = identity
-            raise
-    node.joined = joined = (runs + stage[0], tuple(map(add, sums, stage[1])))
-    return joined
-
-
-def _evaluate(c: CharacteristicExponents, table: dict, node: _Prefix | None = None) -> _Pass:
+def _evaluate(c: CharacteristicExponents, table: dict, parent: _Prefix | None = None) -> _Pass:
     """Every quantity of c that IDENTITIES compares, each computed once.
 
-    node is c's node, as the walk hands it over, or else grown from c's
-    exponents by the same steps.  c is then its parent's carries plus one
-    exponent: one generator step, the conductor's last term, one stage
-    looked up and one tuple of sums added.  An internal invariant
-    violation raised on the way gets an `identity` attribute: the
-    identity charged with it, which is the one of the step that was
-    running.  c is valid, so a ValidationError from its generators is a
-    bug too, raised as a violation of the round trip.  Any other error,
-    such as an overflow or a sieve above SIEVE_LIMIT, is about the input,
-    and propagates.
+    parent is the node of c's exponents but its last, as the walk hands
+    it over, or else grown from the root by c's own fields.  c's
+    generators are one generator step from the parent's carry, and its
+    conductor that step's partial sum.  Past the sieve gate one loop over
+    c.stage_keys looks up each stage's record (runs, sums), made on its
+    key's first meeting and kept in table, and joins the runs and adds
+    the sums.  An internal invariant violation raised on the way gets an
+    `identity` attribute: the identity charged with it, which is the one
+    of the step that was running; marking and checking a stage's runs is
+    multiplicity_total_sum's, summing them tau_min_double_computation's.
+    c is valid, so a ValidationError from its generators is a bug too,
+    raised as a violation of the round trip.  Any other error, such as an
+    overflow or a sieve above SIEVE_LIMIT, is about the input, and
+    propagates.
     """
-    if node is None:  # grown from the root by c's exponents, as the walk grows it
-        node = _root(c.n)
-        for b, e in zip(c.beta, c.gcd_chain[1:]):
-            node = _Prefix(node, b, e)
+    beta, chain, keys = c.beta, c.gcd_chain, c.stage_keys
+    if parent is None:  # grown from the root as the walk grows it, from c's own fields
+        parent = _root(c.n)
+        for k in range(1, len(beta)):
+            parent = _Prefix(parent, beta[:k], chain[:k + 1], keys[:k])
     v = _Pass()
     v.c = c
     step = "semigroup_round_trip"
     try:
         try:
-            gens, chain, mult, _, conductor = _semigroup(node)
+            gens, gens_chain, mult, _, conductor = _generator_step(
+                parent.semigroup or _semigroup(parent), chain[-2], beta[-1], chain[-1])
         except ValidationError as exc:  # c is valid, so its generators must be
             raise InternalInvariantViolation(f"{c}: {step} failed: {exc}") from exc
         v.s = s = object.__new__(SemigroupGenerators)  # validated by the steps: no __init__
-        s.__dict__.update(gens=gens, gcd_chain=chain, multipliers=mult)
+        s.__dict__.update(gens=gens, gcd_chain=gens_chain, multipliers=mult)
         v.back = _exponents_from_generators(s)
         # the conductor's last term and the sum, tested as _conductor_formula tests
         # them; each earlier partial sum is below a generator that fits in 64 bits
@@ -443,7 +415,16 @@ def _evaluate(c: CharacteristicExponents, table: dict, node: _Prefix | None = No
         step = "conductor_sieve_agreement"
         v.conductor = conductor
         _read_sieve(v)
-        runs, sums = _joined(node, table)  # past the sieve gate
+        runs, sums = (), None  # past the sieve gate
+        for key in keys:
+            stage = table.get(key)
+            if stage is None:
+                step = "multiplicity_total_sum"
+                stage_runs, seq_sums = _canonical(_mark_stage(*key), key[2] == 1)
+                step = "tau_min_double_computation"
+                stage = table[key] = (stage_runs, seq_sums + _run_sums(stage_runs))
+            runs += stage[0]
+            sums = stage[1] if sums is None else tuple(map(add, sums, stage[1]))
         v.seq = seq = object.__new__(MultiplicitySequence)  # canonical already: no __post_init__
         seq.__dict__.update(runs=runs, _sums=sums[:3])
         v.n = c.n
@@ -456,8 +437,7 @@ def _evaluate(c: CharacteristicExponents, table: dict, node: _Prefix | None = No
             bound = table[c.n] = tjurina_lower_bound(c.n)
         v.tau_lower_bound = bound
     except InternalInvariantViolation as exc:
-        if not hasattr(exc, "identity"):  # a stage record names its own step
-            exc.identity = step
+        exc.identity = step
         raise
     return v
 

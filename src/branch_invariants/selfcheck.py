@@ -48,16 +48,20 @@ def _sigma_pointwise() -> CheckResult:
 
 
 def _suite_run(leaves, table: dict) -> dict[str, str]:
-    """The first failure of each identity on the classes of leaves, (node, class) pairs, by name."""
+    """The first failure of each identity on the classes of leaves, by name.
+
+    leaves are (parent node, class) pairs, as the walk yields them, and
+    each class is evaluated from its parent's carry (see invariants._evaluate).
+    """
     failures: dict[str, str] = {}
 
     def fail(name: str, c: CharacteristicExponents, detail: str) -> None:
         failures.setdefault(name, f"first failure at {c}: {detail}")
 
     appended: dict = {}  # the sums of k smooth points appended in a stage, by (k, stage)
-    for node, c in leaves:
+    for parent, c in leaves:
         try:
-            v = _evaluate(c, table, node)
+            v = _evaluate(c, table, parent)
         except InternalInvariantViolation as exc:
             fail(exc.identity, c, str(exc))
             continue

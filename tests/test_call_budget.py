@@ -21,15 +21,17 @@ from branch_invariants.cli import _csv_line, main
 
 BOX = EnumerationBounds(8, 40)
 CLASSES = 569
-# measured on CPython 3.11: 56.19 per class here, where the work done once
+# measured on CPython 3.11: 53.10 per class here, where the work done once
 # per stage key and per node of the walk is shared by few classes, and
-# 32.54 on the (12, 100) box.  3.10 opens a frame for the same functions,
+# 29.49 on the (12, 100) box.  3.10 opens a frame for the same functions,
 # comprehensions and generator resumptions.  The margin is one call per
 # class: room for a small change of path, not for an undone cut (the tree
-# before classes inherited their prefix's carries made 33,331 calls here,
-# 58.58 per class; before the inline guards and the records built in one
-# update, 54,684, 96.11 per class; before the first cuts 75,620, 132.90).
-MEASURED_CALLS = 31_974
+# that made a node per class and joined its stages on the nodes made
+# 31,974 calls here, 56.19 per class; before classes inherited their
+# prefix's carries, 33,331, 58.58 per class; before the inline guards and
+# the records built in one update, 54,684, 96.11 per class; before the
+# first cuts 75,620, 132.90).
+MEASURED_CALLS = 30_213
 MARGIN_CALLS = CLASSES
 
 
@@ -68,11 +70,12 @@ def test_a_sweep_makes_the_same_calls_on_every_run_within_its_budget():
 # summing its stages.  Only the package's own calls are counted, once the
 # parser and the layout templates are built: argparse's and enum's differ
 # from one Python to the next.  Measured on CPython 3.11, where the tree
-# before classes inherited their prefix's carries made 118, 146 and 149,
-# and the tree before the inline guards and the records built in one
-# update 166, 208 and 213 (with the standard library's calls, 221, 269
-# and 271 then and 169, 201 and 202 at 118, 146 and 149).
-QUERY_CALLS = {"2:1995": 115, "87:233": 141, "4:6,7": 148}
+# that made a node per class and joined its stages on the nodes made 115,
+# 141 and 148, the tree before classes inherited their prefix's carries
+# 118, 146 and 149, and the tree before the inline guards and the records
+# built in one update 166, 208 and 213 (with the standard library's
+# calls, 221, 269 and 271 then and 169, 201 and 202 at 118, 146 and 149).
+QUERY_CALLS = {"2:1995": 112, "87:233": 138, "4:6,7": 144}
 PACKAGE = os.path.dirname(branch_invariants.__file__) + os.sep
 
 

@@ -7,7 +7,10 @@ validated again, so every record must equal the one
 validate_char_exponents builds, in its computed fields too, with the
 same hash, repr and pickle, and hold no node; and every semigroup must
 equal semigroup_from_char_exponents(c) and the validated generators.
-The (16, 100) box is the first pinned one with classes of four pairs.
+The evaluation pass of a class from its parent node, on a stage table
+shared with other classes, must equal the pass of the class alone, on a
+table of its own.  The (16, 100) box is the first pinned one with
+classes of four pairs.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import json
 import pickle
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from branch_invariants import (
@@ -28,6 +31,8 @@ from branch_invariants import (
     validate_char_exponents,
 )
 from branch_invariants.cli import CSV_COLUMNS, _csv_line
+from branch_invariants.enumeration import _prefixes, _subtrees
+from branch_invariants.invariants import _evaluate
 from test_record_build import assert_same_record
 
 PINNED = json.loads((Path(__file__).parent / "expected_sweeps.json").read_text(encoding="utf-8"))
@@ -55,6 +60,28 @@ boxes = st.integers(2, 9).flatmap(lambda n: st.tuples(
 @given(boxes)
 def test_every_carried_record_is_the_validated_one(box):
     assert_carried_records(sweep(EnumerationBounds(*box), workers=1)[0])
+
+
+# one stage table for every class of every drawn box, as a sweep shares one
+SHARED_STAGES: dict = {}
+
+
+def assert_same_pass(got, want) -> None:
+    """Two evaluation passes equal attribute by attribute, and so their class, semigroup and sequence."""
+    assert vars(got).keys() == vars(want).keys()
+    for name, value in vars(want).items():
+        assert getattr(got, name) == value, name
+    for name in ("c", "s", "seq"):
+        assert vars(getattr(got, name)) == vars(getattr(want, name)), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(boxes)
+@example((8, 40, None))  # classes of three pairs, many under one parent
+def test_a_class_evaluated_from_its_parent_is_the_class_evaluated_alone(box):
+    bounds = EnumerationBounds(*box)
+    for parent, c in _subtrees(bounds, _prefixes(bounds)):
+        assert_same_pass(_evaluate(c, SHARED_STAGES, parent), _evaluate(c, {}))
 
 
 def test_classes_of_four_pairs_carry_their_records():

@@ -1,12 +1,13 @@
-"""A wrong carry down the enumeration tree is a named failure.
+"""A wrong carry down the enumeration tree, or a wrong stage record, is a named failure.
 
-A class is its parent node's carries plus one exponent: the generators,
-the conductor's partial sum and the joined stages are made once per node
-and shared by the classes under it.  Each mutant below breaks one carry
-in process, and `check` over (8, 40) must exit 1 naming the row that
-sees it, with the same output serially and from forked pool workers.
-A walk whose one-step check lets through an exponent that e_k divides
-is caught by the brute-force oracle.
+A class is its parent node's generator carry plus one exponent: the
+generators and the conductor's partial sum are made once per prefix node
+and shared by the classes under it, and a stage's record is made once
+per stage table and shared by every class with that stage.  Each mutant
+below breaks one of them in process, and `check` over (8, 40) must exit
+1 naming the row that sees it, with the same output serially and from
+forked pool workers.  A walk whose one-step check lets through an
+exponent that e_k divides is caught by the brute-force oracle.
 """
 
 from __future__ import annotations
@@ -27,9 +28,8 @@ forks = pytest.mark.skipif(
     multiprocessing.get_all_start_methods()[0] != "fork", reason="pool does not fork"
 )
 
-real_step, real_joined = inv._generator_step, inv._joined
-# the place of tau_min in a joined 9-tuple: the three sequence sums, then _SUM_NAMES
-TAU_MIN = 3 + inv._SUM_NAMES.index("tau_min")
+real_step, real_run_sums = inv._generator_step, inv._run_sums
+TAU_MIN = inv._SUM_NAMES.index("tau_min")  # its place among a stage record's _SUM_NAMES sums
 
 
 def leaf_generator_plus_one(carry, e, b, e_next):
@@ -46,20 +46,19 @@ def node_partial_plus_one(carry, e, b, e_next):
     return gens, chain, mult, acc, partial + (e_next > 1)
 
 
-def node_tau_min_plus_one(node, table):
-    """The joined stages, a prefix node's tau_min sum one too large, kept on the node."""
-    runs, sums = real_joined(node, table)
-    if node.chain[-1] > 1:  # a prefix node, shared by the classes under it
+def stage_tau_min_plus_one(runs):
+    """A stage's sums, its tau_min sum one too large past stage 1, kept in the stage table."""
+    sums = real_run_sums(runs)
+    if runs[0].stage > 1:
         sums = sums[:TAU_MIN] + (sums[TAU_MIN] + 1,) + sums[TAU_MIN + 1:]
-        node.joined = runs, sums
-    return runs, sums
+    return sums
 
 
 # (attribute of invariants, its mutant, the row that must name it)
 CARRY_MUTANTS = [
     ("_generator_step", leaf_generator_plus_one, "semigroup_round_trip"),
     ("_generator_step", node_partial_plus_one, "conductor_sieve_agreement"),
-    ("_joined", node_tau_min_plus_one, "tau_min_double_computation"),
+    ("_run_sums", stage_tau_min_plus_one, "tau_min_double_computation"),
 ]
 
 

@@ -4,8 +4,8 @@ argparse's top-level pass over such an argv only finds the word and hands
 the rest to the word's parser, so skipping it must change nothing: the
 same namespace, or the same exit, stdout and stderr, as the earlier route
 (oracles.parse_reference) on every argv.  Any other argv still takes the
-top-level pass, which drops a leading "--" before a word that is no
-option, as CPython 3.13's argparse does.
+top-level pass, which reads the word after a leading "--" as the
+command word, whatever it looks like, as CPython 3.13's argparse does.
 """
 
 from __future__ import annotations
@@ -91,3 +91,20 @@ def test_a_leading_end_of_options_reads_the_next_word_as_the_command():
     got, out, err = outcome(parse, ["--", "bogus"])
     assert (got, out) == (("SystemExit", 2), "")
     assert "invalid choice: 'bogus'" in err
+
+
+@pytest.mark.parametrize("word", ["-h", "--help", "bogus"])
+def test_a_word_after_a_leading_end_of_options_is_refused_unless_it_is_a_command(word):
+    got, out, err = outcome(cli._shared_parser().parse_args, ["--", word])
+    assert (got, out) == (("SystemExit", 2), "")
+    assert len(err.splitlines()) == 1
+    assert f"argument command: invalid choice: '{word}'" in err
+
+
+def test_a_command_word_after_a_leading_end_of_options_runs_that_command(capsys, monkeypatch):
+    monkeypatch.setattr(sc, "SIGMA_BOUND_LIMIT", 20)
+    monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
+    assert cli.main(["--", "check"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert sum(line.startswith("ok ") for line in lines) == 15
+    assert not any(line.startswith("FAIL") for line in lines)

@@ -6,9 +6,9 @@ canonicalising again.  So the joined sequence must equal the canonical
 one, a broken stage must still be refused, a class refused at the
 conductor or the sieve must mark no stage, and the per-class work must
 not creep back: each stage is marked once per table, each node of the
-walk checks its next exponents once, each class adds one generator to
-its node's, and the integer rule runs a bounded number of times per
-class.
+walk checks its next exponents once, only prefix nodes are made, each
+class adds one generator to its parent's, and the integer rule runs a
+bounded number of times per class.
 """
 
 from __future__ import annotations
@@ -196,9 +196,9 @@ def test_each_stage_and_each_class_is_prepared_once():
     # a class is its node plus one exponent: the one-step check runs once per
     # node, on the node's next exponents, and nothing validates a class again
     assert checks == tree_nodes(8, 40) and validations == 0
-    # each class is derived once, as a leaf grown from its parent node, and
-    # so is every node below a root
-    assert derivations == len(box) + tree_nodes(8, 40) - roots
+    # a node is made once for each prefix node below a root, and none for a
+    # class: a class is its parent's fields plus one entry
+    assert derivations == tree_nodes(8, 40) - roots
     assert steps == len(box) + len(parents)  # one generator per class and per shared node
     assert int_checks <= INT_RULE_PER_CLASS * len(box)
 
